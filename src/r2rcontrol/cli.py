@@ -13,6 +13,14 @@ from .errors import ConfigError, R2RError
 from .harness import ExperimentConfig, run_experiment
 from . import experiments
 
+# preset subcommand -> (experiment function, help); the functions hold the defaults
+PRESETS = {
+    "table1": (experiments.table1_experiment, "RL vs OAPE mean/std MSE grid"),
+    "table2": (experiments.table2_experiment, "no-control vs PGS on Wiener/gamma"),
+    "figure2": (experiments.figure2_experiment, "RL vs EWMA cost distributions"),
+    "figure5": (experiments.figure5_experiment, "GHR vs PGS cost distributions"),
+}
+
 
 def _out_dir(args) -> str:
     if args.out:
@@ -51,6 +59,8 @@ def _load_config(args) -> ExperimentConfig:
         raw["master_seed"] = args.seed
     if args.threads is not None:
         raw["threads"] = args.threads
+    if args.replications is not None:
+        raw["replications"] = args.replications
     raw["output_dir"] = _out_dir(args)
     try:
         return ExperimentConfig(**raw)
@@ -64,23 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, config_required=False):
-        if config_required:
-            p.add_argument("--config", required=True, help="experiment config JSON")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config entry (dotted keys allowed)")
+    def add_common(p, replicated=True):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory (or $R2R_OUTPUT_DIR)")
-        p.add_argument("--threads", type=int, default=None, help="parallel replications")
-        p.add_argument("--replications", type=int, default=None)
+        if replicated:
+            p.add_argument("--threads", type=int, default=None, help="parallel replications")
+            p.add_argument("--replications", type=int, default=None)
+        return p
 
-    add_common(sub.add_parser("run", help="run an experiment config"), config_required=True)
-    add_common(sub.add_parser("simulate", help="simulate paths for a config"), config_required=True)
-    add_common(sub.add_parser("table1", help="RL vs OAPE mean/std MSE grid"))
-    add_common(sub.add_parser("table2", help="no-control vs PGS on Wiener/gamma"))
-    add_common(sub.add_parser("figure2", help="RL vs EWMA cost distributions"))
-    add_common(sub.add_parser("figure5", help="GHR vs PGS cost distributions"))
-    add_common(sub.add_parser("theory-check", help="bound battery, rate check, ratio diagnostics"))
+    run = add_common(sub.add_parser("run", help="run an experiment config"))
+    run.add_argument("--config", required=True, help="experiment config JSON")
+    run.add_argument("--set", action="append", metavar="KEY=VALUE",
+                     help="override a config entry (dotted keys allowed)")
+    for name, (_, help_text) in PRESETS.items():
+        add_common(sub.add_parser(name, help=help_text))
+    add_common(sub.add_parser("theory-check", help="bound battery, rate check, ratio diagnostics"),
+               replicated=False)
     sub.add_parser("version", help="print the package version")
     return parser
 
@@ -95,36 +104,16 @@ def main(argv=None) -> int:
         print(__version__)
         return 0
     try:
-        threads = getattr(args, "threads", None) or 1
         seed = args.seed if args.seed is not None else 20260826
         out = _out_dir(args)
-        if args.command in ("run", "simulate"):
-            config = _load_config(args)
-            stats = run_experiment(config)
-            print(json.dumps(stats.to_dict(), indent=2))
-        elif args.command == "table1":
-            report = experiments.table1_experiment(
-                seed, replications=args.replications or 50, out_dir=out, threads=threads
-            )
-            print(json.dumps(report, indent=2))
-        elif args.command == "table2":
-            report = experiments.table2_experiment(
-                seed, replications=args.replications or 30, out_dir=out, threads=threads
-            )
-            print(json.dumps(report, indent=2))
-        elif args.command == "figure2":
-            report = experiments.figure2_experiment(
-                seed, replications=args.replications or 200, out_dir=out, threads=threads
-            )
-            print(json.dumps(report, indent=2))
-        elif args.command == "figure5":
-            report = experiments.figure5_experiment(
-                seed, replications=args.replications or 30, out_dir=out, threads=threads
-            )
-            print(json.dumps(report, indent=2))
-        elif args.command == "theory-check":
+        if args.command == "run":
+            report = run_experiment(_load_config(args)).to_dict()
+        elif args.command in PRESETS:
+            sizes = {} if args.replications is None else {"replications": args.replications}
+            report = PRESETS[args.command][0](seed, out_dir=out, threads=args.threads or 1, **sizes)
+        else:  # theory-check
             report = experiments.theory_check(seed, out_dir=out)
-            print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,16 @@
-"""Run-to-run control policies behind one stateful contract.
+"""Run-to-run control policies behind one contract.
 
 Five controllers: EWMA and GHR benchmarks, the model-based RL controller
 (alternating refit / action optimization with learning across paths),
 the optimize-after-parameter-estimation baseline, and the policy
 gradient search controller driven by a fitted output distribution.
 
-One-shot policies implement ``next_action``/``observe`` and are driven
-by :func:`r2rcontrol.processes.simulate_path`; controllers that iterate
-several trial actions inside a period implement ``run_path`` and talk
-to the simulator directly.
+Every policy subclasses :class:`Controller`.  ``prepare`` does any
+offline learning for one replication and returns how many online paths
+that replication runs; ``run_path`` runs one path on a freshly reset
+process.  The base ``run_path`` drives the one-shot
+``next_action``/``observe`` loop; controllers that iterate several trial
+actions inside a period override it and talk to the simulator directly.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, PeriodAbortError
-from .estimation import LinearModelFit, PgsDistributionParams, fit_pgs_params
+from .estimation import PgsDistributionParams, fit_pgs_params, ridged_gram
 from .processes import ProcessModel, QuadraticCmpProcess, SamplePath, simulate_path
-from .rng import make_rng
+from .rng import derive_int_seed, make_rng
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +63,15 @@ class ControllerConfig:
 
 
 class Controller:
-    """Observe the latest output, emit the next action."""
+    """Observe the latest output, emit the next action.
+
+    The harness calls ``prepare`` once per replication, then ``run_path``
+    once per online path.
+    """
+
+    def prepare(self, model: ProcessModel, n_learning_paths: int, master_seed: int, replication: int) -> int:
+        """Do any offline learning; return how many online paths the replication runs."""
+        return n_learning_paths
 
     def reset(self, model: ProcessModel) -> None:
         pass
@@ -71,6 +81,23 @@ class Controller:
 
     def observe(self, t: int, u: np.ndarray, y: np.ndarray) -> None:
         pass
+
+    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
+        """One T-period trajectory on a model already reset to ``seed``."""
+        self.reset(model)
+        us, ys, ds = [], [], []
+        y_prev = model.y0.copy()
+        for t in range(1, model.T + 1):
+            u = np.atleast_1d(np.asarray(self.next_action(y_prev, t), dtype=float))
+            y = model.step(u, t)
+            model.commit()
+            self.observe(t, u, y)
+            us.append(u)
+            ys.append(y)
+            ds.append(model.last_disturbance)
+            y_prev = y
+        d = None if ds[0] is None else np.asarray(ds, dtype=float)
+        return SamplePath(u=np.array(us), y=np.array(ys), d=d, y0=model.y0, seed=seed)
 
 
 class NullController(Controller):
@@ -111,6 +138,15 @@ class RandomActionController(Controller):
 
     def next_action(self, y_prev, t):
         return self._rng.normal(0.0, self.spread, size=self._dim)
+
+
+def random_action_paths(model: ProcessModel, n: int, seed: int, spread: float, tag: str) -> list[SamplePath]:
+    """``n`` offline paths under seeded random actions, streams keyed by ``tag``."""
+    policy = RandomActionController(spread, tag=f"{tag}-offline")
+    return [
+        simulate_path(model, policy, int(make_rng(seed, replication=i, tag=f"{tag}-seed").integers(2**63)))
+        for i in range(n)
+    ]
 
 
 class EwmaController(Controller):
@@ -190,7 +226,6 @@ class _PooledFit:
 
     def solve(self) -> tuple[np.ndarray, bool]:
         gram = self.gram
-        p = gram.shape[0]
         ridged = False
         try:
             theta = np.linalg.solve(gram, self.xty)
@@ -198,8 +233,7 @@ class _PooledFit:
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             ridged = True
-            lam = 1e-8 * max(np.trace(gram), 1.0) / p
-            theta = np.linalg.solve(gram + lam * np.eye(p), self.xty)
+            theta = np.linalg.solve(ridged_gram(gram), self.xty)
         # near-singular pooled designs behave like rank-deficient ones
         if not ridged and np.linalg.cond(gram) > 1e12:
             ridged = True
@@ -290,6 +324,9 @@ def rl_alg1_action_optimize(
             if res.fun < best_val - 1e-12:
                 best_val = res.fun
                 best_u = res.x
+            # the objective is a sum of squares: no later start can beat this
+            if best_val <= 1e-12:
+                break
         return np.asarray(best_u)
     raise ConfigError(f"unknown model family {model_family!r}")
 
@@ -302,7 +339,7 @@ def _quadratic_features(u: np.ndarray, t: int) -> np.ndarray:
     return np.concatenate([QuadraticCmpProcess.quad_features(u), [float(t)]])
 
 
-class RlAlg1Controller:
+class RlAlg1Controller(Controller):
     """Model-based RL controller: alternate refit and action optimization.
 
     The pooled dataset persists across sample paths (the approximate
@@ -395,49 +432,34 @@ class RlAlg1Controller:
         }
         return SamplePath(u=np.array(us), y=np.array(ys), d=None, y0=model.y0, seed=seed)
 
-    def fit_snapshot(self) -> LinearModelFit:
-        theta, ridged = self.pool.solve()
-        gram = self.pool.gram
-        p = gram.shape[0]
-        if ridged:
-            gram = gram + 1e-8 * max(np.trace(gram), 1.0) / p * np.eye(p)
-        return LinearModelFit(
-            theta_hat=theta,
-            residual_variance=0.0,
-            gram_inv=np.linalg.inv(gram),
-            n_samples=self.pool.n,
-            ridged=ridged,
-        )
 
-
-class OapeController:
+class OapeController(RlAlg1Controller):
     """Optimize-after-parameter-estimation baseline.
 
     Fits the model family once from randomly-actioned offline paths, then
-    controls every period with the frozen fit (no learning by doing).
+    controls one online path with the frozen fit (no learning by doing).
     """
 
-    def __init__(self, config: ControllerConfig, control_dim: int, output_dim: int):
-        self.config = config
-        self._rl = RlAlg1Controller(config, control_dim, output_dim)
-        self.fitted = False
+    def prepare(self, model, n_learning_paths, master_seed, replication):
+        self.learn_offline(
+            model, n_learning_paths, derive_int_seed(master_seed, replication=replication, tag="oape-learn")
+        )
+        return 1
 
-    def learn(self, model: ProcessModel, n_paths: int, seed: int) -> None:
-        policy = RandomActionController(self.config.offline_action_spread, tag="oape-offline")
-        for i in range(n_paths):
-            path = simulate_path(model, policy, seed=make_rng(seed, replication=i, tag="oape-seed").integers(2**63))
+    def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
+        """Pool ``n_paths`` random-action paths and freeze the fit."""
+        for path in random_action_paths(model, n_paths, seed, self.config.offline_action_spread, "oape"):
             for t in range(1, path.horizon + 1):
-                self._rl.pool.add(self._rl._features(path.u[t - 1], t), path.y[t - 1])
-        self._rl.theta, self._ridged = self._rl.pool.solve()
-        self.fitted = True
+                self.pool.add(self._features(path.u[t - 1], t), path.y[t - 1])
+        self.theta, _ = self.pool.solve()
 
     def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
-        if not self.fitted:
+        if self.pool.n == 0:
             raise ConfigError("OAPE controller must learn before running")
         us, ys = [], []
-        warm = None
+        warm = np.zeros(model.control_dim)
         for t in range(1, model.T + 1):
-            u = self._rl._optimize(t, warm if warm is not None else np.zeros(model.control_dim))
+            u = self._optimize(t, warm)
             y = model.step(u, t)
             model.commit()
             us.append(u)
@@ -451,7 +473,7 @@ class OapeController:
 # ---------------------------------------------------------------------------
 
 
-class RlPgsController:
+class RlPgsController(Controller):
     """Online policy gradient search against a fitted output distribution.
 
     Per period the action is iterated by u <- u - alpha * C(y) * d/du log
@@ -466,12 +488,17 @@ class RlPgsController:
         self.offline_store: list[SamplePath] = []
         self.diagnostics: dict = {}
 
+    def prepare(self, model, n_learning_paths, master_seed, replication):
+        self.learn_offline(
+            model,
+            self.config.n_offline_paths,
+            derive_int_seed(master_seed, replication=replication, tag="pgs-learn"),
+        )
+        return n_learning_paths
+
     def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
         """Populate the offline store with random-action paths and fit (beta, gamma)."""
-        policy = RandomActionController(self.config.offline_action_spread, tag="pgs-offline")
-        for i in range(n_paths):
-            path_seed = int(make_rng(seed, replication=i, tag="pgs-seed").integers(2**63))
-            self.offline_store.append(simulate_path(model, policy, path_seed))
+        self.offline_store += random_action_paths(model, n_paths, seed, self.config.offline_action_spread, "pgs")
         self.params = fit_pgs_params(self.offline_store, self.config.variance_form)
 
     def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
@@ -528,7 +555,7 @@ class RlPgsController:
 # ---------------------------------------------------------------------------
 
 
-def controller_from_config(cfg: dict, model: ProcessModel, y_star) -> Controller | RlAlg1Controller | OapeController | RlPgsController:
+def controller_from_config(cfg: dict, model: ProcessModel, y_star) -> Controller:
     """Build a controller from a config mapping with a ``kind`` key."""
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)

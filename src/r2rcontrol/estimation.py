@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +37,9 @@ class LinearModelFit:
     """Least-squares fit with the pieces needed for variance formulas.
 
     ``gram_inv`` is (X'X)^{-1} (or its ridge-regularized stand-in);
-    ``covariance`` scales it by the residual variance.  Multi-output fits
-    share one design and carry one residual variance per output.
+    scaled by the residual variance it gives the estimator covariance.
+    Multi-output fits share one design and carry one residual variance
+    per output.
     """
 
     theta_hat: np.ndarray  # (p,) or (p, m_y)
@@ -48,24 +48,12 @@ class LinearModelFit:
     n_samples: int
     ridged: bool = False
 
-    @property
-    def covariance(self) -> np.ndarray:
-        s2 = np.atleast_1d(np.asarray(self.residual_variance, dtype=float))
-        return float(s2.mean()) * self.gram_inv if s2.size > 1 else float(s2[0]) * self.gram_inv
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.theta_hat
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta_hat": np.asarray(self.theta_hat).tolist(),
-                "residual_variance": np.asarray(self.residual_variance).tolist(),
-                "gram_inv": np.asarray(self.gram_inv).tolist(),
-                "n_samples": self.n_samples,
-                "ridged": self.ridged,
-            }
-        )
+def ridged_gram(gram: np.ndarray) -> np.ndarray:
+    """``gram`` with the fallback ridge (see ``RIDGE_REL``) added to its diagonal."""
+    p = gram.shape[0]
+    lam = RIDGE_REL * max(np.trace(gram), 1.0) / p
+    return gram + lam * np.eye(p)
 
 
 def fit_least_squares(design: RegressionDesign, ridge_fallback: bool = True) -> LinearModelFit:
@@ -86,8 +74,7 @@ def fit_least_squares(design: RegressionDesign, ridge_fallback: bool = True) -> 
                 f"design is rank deficient: {p - rank} of {p} columns unidentifiable",
                 deficient_columns=p - rank,
             )
-        lam = RIDGE_REL * max(np.trace(gram), 1.0) / p
-        gram = gram + lam * np.eye(p)
+        gram = ridged_gram(gram)
         ridged = True
         warnings.warn("rank-deficient design; ridge fallback applied", RuntimeWarning)
     gram_inv = np.linalg.inv(gram)

@@ -24,8 +24,9 @@ from .harness import (
     error_ratio_series,
     run_replications,
     summarize,
+    write_boxplot_csv,
 )
-from .processes import process_from_config
+from .processes import process_from_config, simulate_path
 from .ratio_normal import RatioDistribution
 from .rng import derive_int_seed, make_rng
 from .theory import DEFAULT_BOUND_BATTERY, theorem1_rate_check, theorem2_bound_check
@@ -177,16 +178,7 @@ def figure2_experiment(
         if out_dir:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            lines = ["path_index,q1,median,q3,whisker_low,whisker_high,n_outliers"]
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        [str(r["path_index"])]
-                        + [_fmt(r[k]) for k in ("q1", "median", "q3", "whisker_low", "whisker_high")]
-                        + [str(r["n_outliers"])]
-                    )
-                )
-            (out / f"figure2_{label}.csv").write_text("\n".join(lines) + "\n")
+            write_boxplot_csv(rows, out / f"figure2_{label}.csv")
     if out_dir:
         (Path(out_dir) / "figure2.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -222,14 +214,10 @@ def quadratic_error_ratio_experiment(
     y_star = np.asarray(cfg.y_star)
     controller = controller_from_config(cfg.controller, model, y_star)
     for i in range(n_learning_paths):
-        path_seed = derive_int_seed(seed, replication=0, tag="quad-learn", index=i)
-        model.reset(path_seed)
-        controller.run_path(model, path_seed)
+        simulate_path(model, controller, derive_int_seed(seed, replication=0, tag="quad-learn", index=i))
     ratios = []
     for i in range(n_eval_paths):
-        path_seed = derive_int_seed(seed, replication=0, tag="quad-eval", index=i)
-        model.reset(path_seed)
-        path = controller.run_path(model, path_seed)
+        path = simulate_path(model, controller, derive_int_seed(seed, replication=0, tag="quad-eval", index=i))
         ratios.append(np.abs(error_ratio_series(path, y_star)))
     ratios = np.concatenate(ratios, axis=0)  # (n_eval*T, 2)
     report = {

@@ -22,12 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .controllers import (
-    OapeController,
-    RlPgsController,
-    controller_from_config,
-)
-from .errors import ConfigError, DimensionError, UndefinedRatioError
+from .controllers import controller_from_config
+from .errors import ConfigError, DimensionError, R2RError, UndefinedRatioError
 from .processes import SamplePath, process_from_config, simulate_path
 from .rng import derive_int_seed
 
@@ -106,7 +102,6 @@ class RunResult:
     path: SamplePath
     total_cost: float
     mse: float
-    error_ratios: np.ndarray | None
     per_path_costs: list
     diagnostics: dict
 
@@ -130,44 +125,33 @@ class SummaryStats:
 
 
 def run_replication(config: ExperimentConfig, rep: int) -> RunResult:
-    """Execute one replication with seeds derived from (master_seed, rep)."""
+    """Execute one replication with seeds derived from (master_seed, rep).
+
+    A toolkit error from offline learning or from a path is re-raised as
+    the same type, its message prefixed with the replication, the path
+    index and the path seed, so the failure can be re-run alone.
+    """
     model = process_from_config(config.process)
     y_star = np.asarray(config.y_star, dtype=float)
     controller = controller_from_config(config.controller, model, y_star)
-    kind = config.controller.get("kind")
     per_path_costs = []
-    path = None
-    if isinstance(controller, OapeController):
-        controller.learn(
-            model,
-            config.n_learning_paths,
-            derive_int_seed(config.master_seed, replication=rep, tag="oape-learn"),
-        )
-        seed = derive_int_seed(config.master_seed, replication=rep, tag="path", index=0)
-        model.reset(seed)
-        path = controller.run_path(model, seed)
-        per_path_costs.append(total_cost(path, y_star))
-    else:
-        if isinstance(controller, RlPgsController):
-            controller.learn_offline(
-                model,
-                config.controller.get("n_offline_paths", controller.config.n_offline_paths),
-                derive_int_seed(config.master_seed, replication=rep, tag="pgs-learn"),
-            )
-        for i in range(config.n_learning_paths):
+    where = "offline learning"
+    try:
+        n_paths = controller.prepare(model, config.n_learning_paths, config.master_seed, rep)
+        for i in range(n_paths):
             seed = derive_int_seed(config.master_seed, replication=rep, tag="path", index=i)
+            where = f"path {i} (seed {seed})"
             path = simulate_path(model, controller, seed)
             per_path_costs.append(total_cost(path, y_star))
-    ratios = None
-    if np.all(y_star != 0.0):
-        ratios = error_ratio_series(path, y_star)
+    except R2RError as exc:
+        exc.args = (f"replication {rep}, {where}: {exc}",) + exc.args[1:]
+        raise
     diagnostics = dict(getattr(controller, "diagnostics", {}) or {})
-    diagnostics["kind"] = kind
+    diagnostics["kind"] = config.controller.get("kind")
     return RunResult(
         path=path,
         total_cost=total_cost(path, y_star),
         mse=mse(path, y_star),
-        error_ratios=ratios,
         per_path_costs=per_path_costs,
         diagnostics=diagnostics,
     )
@@ -180,7 +164,7 @@ def _worker(args) -> tuple[int, RunResult]:
 
 
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
-    """All replications, deterministic regardless of thread count."""
+    """All replications; the results do not depend on ``threads``."""
     reps = range(config.replications)
     if config.threads and config.threads > 1:
         cfg_dict = asdict(config)
@@ -259,10 +243,8 @@ def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
     return rows
 
 
-def write_boxplot_csv(results: list[RunResult], out_path) -> None:
-    n_paths = min(len(r.per_path_costs) for r in results)
-    mat = np.array([r.per_path_costs[:n_paths] for r in results])
-    rows = boxplot_rows(mat)
+def write_boxplot_csv(rows: list[dict], out_path) -> None:
+    """Write :func:`boxplot_rows` output as CSV."""
     header = "path_index,q1,median,q3,whisker_low,whisker_high,n_outliers"
     lines = [header]
     for row in rows:
@@ -285,7 +267,9 @@ def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = N
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_paths_csv(results, out / "paths.csv")
-        write_boxplot_csv(results, out / "boxplot.csv")
+        n_paths = min(len(r.per_path_costs) for r in results)
+        costs = np.array([r.per_path_costs[:n_paths] for r in results])
+        write_boxplot_csv(boxplot_rows(costs), out / "boxplot.csv")
         summary = {
             "version": __version__,
             "master_seed": config.master_seed,
@@ -328,7 +312,7 @@ def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_
     base = configs[0]
     for cfg in configs[1:]:
         if (
-            cfg.process.get("family") != base.process.get("family")
+            cfg.process != base.process
             or list(cfg.y_star) != list(base.y_star)
             or cfg.master_seed != base.master_seed
             or cfg.replications != base.replications

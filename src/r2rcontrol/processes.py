@@ -393,29 +393,13 @@ class GammaProcess(ProcessModel):
 
 
 def simulate_path(model: ProcessModel, policy, seed: int) -> SamplePath:
-    """Run one full T-period trajectory under ``policy``.
+    """Reset ``model`` to ``seed`` and run one T-period trajectory under ``policy``.
 
     Identical (model, policy, seed) triples produce bit-identical paths.
-    Controllers that manage their own within-period iterations expose
-    ``run_path``; everything else follows the observe/act loop.
+    ``policy`` is any :class:`r2rcontrol.controllers.Controller`.
     """
     model.reset(seed)
-    if hasattr(policy, "run_path"):
-        return policy.run_path(model, seed)
-    policy.reset(model)
-    us, ys, ds = [], [], []
-    y_prev = model.y0.copy()
-    for t in range(1, model.T + 1):
-        u = np.atleast_1d(np.asarray(policy.next_action(y_prev, t), dtype=float))
-        y = model.step(u, t)
-        model.commit()
-        policy.observe(t, u, y)
-        us.append(u)
-        ys.append(y)
-        ds.append(model.last_disturbance)
-        y_prev = y
-    d = None if ds[0] is None else np.asarray(ds, dtype=float)
-    return SamplePath(u=np.array(us), y=np.array(ys), d=d, y0=model.y0, seed=seed)
+    return policy.run_path(model, seed)
 
 
 def arima_disturbance_stream(params: ArimaProcessParams, seed: int) -> np.ndarray:

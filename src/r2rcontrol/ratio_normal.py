@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+# ndtr is what scipy.stats.norm.cdf evaluates, without its per-call overhead
+from scipy.special import ndtr
 
 from .errors import DegenerateDistributionError
 from .estimation import RatioMoments
@@ -54,11 +55,11 @@ def bvn_upper_orthant(h: float, k: float, r: float) -> float:
     if h == np.inf or k == np.inf:
         return 0.0
     if h == -np.inf:
-        return 1.0 if k == -np.inf else float(norm.cdf(-k))
+        return 1.0 if k == -np.inf else float(ndtr(-k))
     if k == -np.inf:
-        return float(norm.cdf(-h))
+        return float(ndtr(-h))
     if r == 0.0:
-        return float(norm.cdf(-h) * norm.cdf(-k))
+        return float(ndtr(-h) * ndtr(-k))
 
     tp = 2.0 * np.pi
     hk = h * k
@@ -80,7 +81,7 @@ def bvn_upper_orthant(h: float, k: float, r: float) -> float:
             w * (np.exp((sn1 * hk - hs) / (1.0 - sn1**2))
                  + np.exp((sn2 * hk - hs) / (1.0 - sn2**2)))
         )
-        bvn = bvn * asr / (2.0 * tp) + norm.cdf(-h) * norm.cdf(-k)
+        bvn = bvn * asr / (2.0 * tp) + ndtr(-h) * ndtr(-k)
     else:
         if r < 0.0:
             k = -k
@@ -99,7 +100,7 @@ def bvn_upper_orthant(h: float, k: float, r: float) -> float:
                 )
             if -hk < 100.0:
                 b = np.sqrt(bs)
-                sp = _SQRT_TWO_PI * norm.cdf(-b / a)
+                sp = _SQRT_TWO_PI * ndtr(-b / a)
                 bvn -= np.exp(-hk / 2.0) * sp * b * (
                     1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0
                 )
@@ -117,11 +118,11 @@ def bvn_upper_orthant(h: float, k: float, r: float) -> float:
                     )
             bvn = -bvn / tp
         if r > 0.0:
-            bvn += norm.cdf(-max(h, k))
+            bvn += ndtr(-max(h, k))
         else:
             bvn = -bvn
             if k > h:
-                bvn += norm.cdf(k) - norm.cdf(h)
+                bvn += ndtr(k) - ndtr(h)
     return float(min(max(bvn, 0.0), 1.0))
 
 
@@ -179,7 +180,7 @@ class RatioDistribution:
         d = np.exp((b**2 - c * a**2) / (2.0 * one_m_r2 * a**2))
         z = b / (np.sqrt(one_m_r2) * a)
         term1 = b * d / (_SQRT_TWO_PI * m.sigma1 * m.sigma2 * a**3) * (
-            norm.cdf(z) - norm.cdf(-z)
+            ndtr(z) - ndtr(-z)
         )
         term2 = np.sqrt(one_m_r2) / (
             np.pi * m.sigma1 * m.sigma2 * a**2
@@ -198,7 +199,7 @@ class RatioDistribution:
     def _approx_pos(self, u):
         m = self._m
         a, _, _ = self._abc(u)
-        return norm.cdf((m.mu2 * u - m.mu1) / (m.sigma1 * m.sigma2 * a))
+        return ndtr((m.mu2 * u - m.mu1) / (m.sigma1 * m.sigma2 * a))
 
     # public surface --------------------------------------------------------
 
@@ -229,7 +230,7 @@ class RatioDistribution:
     def approx_error_bound(self) -> float:
         """Uniform bound on |F - F*|: Phi(-|mu2|/sigma2)."""
         m = self._m
-        return float(norm.cdf(-m.mu2 / m.sigma2))
+        return float(ndtr(-m.mu2 / m.sigma2))
 
     def rvs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Monte Carlo ratio draws from the underlying bivariate normal."""

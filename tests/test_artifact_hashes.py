@@ -1,0 +1,84 @@
+"""Fixed-seed artifacts stay byte-identical to recorded sha256 digests.
+
+The digests were recorded from small runs of the presets and protocols
+below (numpy 2.4, scipy 1.17, OpenBLAS on x86-64), and agree between one
+and two BLAS threads.  The PGS presets and ``table2`` are left out:
+their offline fits take dot products long enough for OpenBLAS to split
+across threads, so their bytes depend on the BLAS thread count.
+"""
+
+import hashlib
+
+from r2rcontrol.experiments import (
+    figure2_experiment,
+    preset_config,
+    quadratic_error_ratio_experiment,
+)
+from r2rcontrol.harness import run_experiment
+
+SEED = 20260826
+PRESETS = ("cmp_rl", "cmp_oape", "cmp_ewma", "arima_ghr", "wiener_null", "gamma_null")
+
+EXPECTED = {
+    "arima_ghr/audit/0.json": "38c87853a501ccac6c6648ca114884bc7749423c00a3a373ed648ac62a7dc0b8",
+    "arima_ghr/audit/1.json": "45b784ca926dd96a437933ce00fb9325539ce364cb3dcd4c4fd64ebde2f2a243",
+    "arima_ghr/audit/2.json": "88a280f7442b23cb0d89a67dafa6a5c63a56c05542895d838d9d301d00b8907b",
+    "arima_ghr/boxplot.csv": "1ae946dbd2716a2d6101e66597aed83d238c2245de52c665dd002f1859e89a1d",
+    "arima_ghr/paths.csv": "b096bc0e8aa9187254dcb494d64441d03a8a95584479edc85f187293cdf0b6b6",
+    "arima_ghr/summary.json": "b188419645e51399fce22050d2f25cebdb24450483bf346019ae1424f618c4b9",
+    "cmp_ewma/audit/0.json": "2b712d9a04a79600a02dc6d4b99c17a091e6ba998b3686145c3c15b1df3beb6b",
+    "cmp_ewma/audit/1.json": "1c556534b4e12bc7121f5224597a7457aed2ec9a09c501c58a791f3e714b4b3c",
+    "cmp_ewma/audit/2.json": "31eeb385e8966e08359b917c6b4df615bb93b6a77e490e1423a48b7c7247e7db",
+    "cmp_ewma/boxplot.csv": "e21026347b0fce7a814764f50ac1f3d60c284eb444f7ba292f4ee674910691cd",
+    "cmp_ewma/paths.csv": "3c5e8a7668955675cad3e1b33092cb60663bd302c07c3794b119fb83dcb013e8",
+    "cmp_ewma/summary.json": "a9999d65ddb2c09fa78ffe3f69975368fc84f12a16b5c3c40c57498d739c685c",
+    "cmp_oape/audit/0.json": "53abb08763b7e086e831f7ca62c5e57c0d7e3b421f85962ea06ba1269086203a",
+    "cmp_oape/audit/1.json": "d44149004559987f2a76345e0d61eeccbe5a3415bffbba15d6f52b941c43ea24",
+    "cmp_oape/audit/2.json": "d6003884deee0dffdf0f1f71fd3cd4f90dfe3b43fcf592a8e17bf852a2e03e52",
+    "cmp_oape/boxplot.csv": "62db38420f488902eba5cb0e7f075cea7f4cbe1ebcb985d9537043137cc923de",
+    "cmp_oape/paths.csv": "299937911fb3f36ba873dcea3741ac66ca072e1b458641fa04caa125032b6740",
+    "cmp_oape/summary.json": "9869159e81e68d6644fd5404e54e6294b67d6bbc6b927a4defa6f41b0dbbac9a",
+    "cmp_rl/audit/0.json": "93334ff4ff8449367015cef916636f8c3721d1ce48095bebdde690623cf7a375",
+    "cmp_rl/audit/1.json": "383ae300780a44da9171da2c4233acc63375fd3e39af04553a992392442525b2",
+    "cmp_rl/audit/2.json": "330ec78239f1442576e39cfd25e74b5d8d96962e752a6af51d6cca38706e4246",
+    "cmp_rl/boxplot.csv": "53d343a98e931626205cd2334eb9e21299c56ff493933be4c7ea9a72190d1b82",
+    "cmp_rl/paths.csv": "7a6190d020a5044beb49d0103949d0032f569634d593aee0ec1490010d29c9f1",
+    "cmp_rl/summary.json": "8520d4b7aabc99d31e2faf7ba7c4dc432c4d8e7078d4a0ab315961f847a7703f",
+    "figure2/figure2.json": "bd1e34a704049f2d0d1dacb0d2153a332bc56ea9389229cf0e3cca0ee30b6fc8",
+    "figure2/figure2_ewma.csv": "e21026347b0fce7a814764f50ac1f3d60c284eb444f7ba292f4ee674910691cd",
+    "figure2/figure2_rl.csv": "53d343a98e931626205cd2334eb9e21299c56ff493933be4c7ea9a72190d1b82",
+    "gamma_null/audit/0.json": "666bb5908ac3cd68db5c19397f42fe14a84acc23056a2ae58cafc269c86c73c4",
+    "gamma_null/audit/1.json": "7d0c01ecfee989323dca91f6ae0a7c2f4aeedbf44c9789b21ba4d0d1963abfdf",
+    "gamma_null/audit/2.json": "7486847f721d7bb8b3af225e94d5bf1f63c8329409d7abb6ce0b0e1239ba4f2b",
+    "gamma_null/boxplot.csv": "b237a36da6c6ebf11e28b86c3de60d10c75217e90e92563e85d1bfb2b5310a97",
+    "gamma_null/paths.csv": "cdc941baadbc4ccce1fea58c65a7458de8d857f150d7bce155f5cc9a8ba6646f",
+    "gamma_null/summary.json": "a3918f59a18940330c79298aec650dcb828b4f4047fc0ca92a5d7a9e45477e46",
+    "quadratic/quadratic_error_ratios.json": "03a33255dad4cbf7327929465e5ce397738df2328173eb07cff455fbaac81c58",
+    "wiener_null/audit/0.json": "d1c683af442710540e7e902559c568d42c1196ef023176a31e779afd91fdc060",
+    "wiener_null/audit/1.json": "92cc25363ec6b2f921773a91c1a9faf5bbea1734e74b6624750a5c6961e997bf",
+    "wiener_null/audit/2.json": "e6f140858bf1a4cd3c47fb454b4b692c33ddd8ee4119a18cb14f6b6209893066",
+    "wiener_null/boxplot.csv": "19b0d36eb0974667ee244cd0ba478f6035524d19aa8516e5c7ffbc0d914a9920",
+    "wiener_null/paths.csv": "214f8fa2447f33a5cd210a99d32a38c1b8b7482e6d099b2b7cf0288ffbd5ca36",
+    "wiener_null/summary.json": "6f742413b0ea6eacde47fc05abaa632e0ed2e3827ac45c2cffb330b3d57617e5",
+}
+
+
+def write_artifacts(root) -> dict:
+    for name in PRESETS:
+        n_paths = min(preset_config(name).n_learning_paths, 4)
+        run_experiment(preset_config(name, replications=3, n_learning_paths=n_paths,
+                                     output_dir=str(root / name)))
+    figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2")
+    quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,
+                                     out_dir=root / "quadratic")
+    return {
+        f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(root.rglob("*")) if f.is_file()
+    }
+
+
+def test_artifacts_match_recorded_digests(tmp_path):
+    got = write_artifacts(tmp_path)
+    assert sorted(got) == sorted(EXPECTED)
+    changed = [name for name in EXPECTED if got[name] != EXPECTED[name]]
+    assert not changed, f"artifacts changed: {changed}"

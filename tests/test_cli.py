@@ -110,3 +110,27 @@ def test_theory_check_smoke(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert "wiener" in report["cases"] and "gamma" in report["cases"]
+
+
+def test_replications_flag_overrides_config(config_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out), "--replications", "2"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["replications"] == 2
+    assert len(list((out / "audit").iterdir())) == 2
+
+
+def test_zero_replications_on_preset_is_config_error(tmp_path, capsys):
+    assert main(["table2", "--replications", "0", "--out", str(tmp_path / "t2")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory-check", "--threads", "2"],
+    ["theory-check", "--replications", "5"],
+    ["simulate", "--config", "exp.json"],
+])
+def test_unsupported_flags_and_commands_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -242,7 +242,7 @@ def test_oape_requires_learning_before_running():
 
 def test_oape_noiseless_controls_exactly():
     ctrl = OapeController(_alg1_config(offline_action_spread=2.0), control_dim=3, output_dim=2)
-    ctrl.learn(_cmp_process(noise=0.0), n_paths=3, seed=12)
+    ctrl.learn_offline(_cmp_process(noise=0.0), n_paths=3, seed=12)
     model = _cmp_process(noise=0.0)
     path = ctrl.run_path(model, seed=13)
     np.testing.assert_allclose(path.y, np.tile(Y_STAR, (30, 1)), atol=1e-6)

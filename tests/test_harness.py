@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from r2rcontrol.errors import ConfigError, DimensionError, UndefinedRatioError
+from r2rcontrol.errors import ConfigError, DimensionError, PeriodAbortError, UndefinedRatioError
 from r2rcontrol.harness import (
     ExperimentConfig,
     boxplot_rows,
@@ -20,7 +20,7 @@ from r2rcontrol.harness import (
     write_paths_csv,
 )
 from r2rcontrol.processes import SamplePath
-from r2rcontrol.rng import make_rng
+from r2rcontrol.rng import derive_int_seed, make_rng
 
 
 def _path(y, u=None):
@@ -40,6 +40,8 @@ CMP_PROCESS = {
     "T": 10,
 }
 Y_STAR = [-150.0, 100.0]
+ARIMA_PROCESS = {"family": "arima", "a": 91.7, "b": -1.8, "phi": 0.6, "theta": 0.5,
+                 "sigma": 1.0, "T": 20}
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,20 @@ def test_threading_does_not_change_results():
         assert r1.total_cost == r2.total_cost
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_replication_names_its_index_and_seed(threads):
+    # the diverging PGS settings of test_pgs_aborts_after_five_failed_halvings
+    cfg = ExperimentConfig(
+        process=ARIMA_PROCESS,
+        controller={"kind": "rl_pgs", "eta": 1e-9, "alpha_step": 1e6, "guard_bound": 1e-3,
+                    "max_inner_iters": 20, "n_offline_paths": 3},
+        y_star=[90.0], replications=2, master_seed=5, threads=threads,
+    )
+    seed = derive_int_seed(5, replication=0, tag="path", index=0)
+    with pytest.raises(PeriodAbortError, match=rf"^replication 0, path 0 \(seed {seed}\): period 1: "):
+        run_replications(cfg)
+
+
 def test_replication_seeding_is_stable():
     cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": "ewma"},
                            y_star=Y_STAR, replications=3, master_seed=9)
@@ -233,6 +249,16 @@ def test_compare_rejects_mismatched_targets():
     cfgs = [
         ExperimentConfig(controller={"kind": "ewma"}, y_star=Y_STAR, **kw),
         ExperimentConfig(controller={"kind": "null"}, y_star=[0.0, 0.0], **kw),
+    ]
+    with pytest.raises(ConfigError):
+        compare_controllers(cfgs, ["a", "b"])
+
+
+def test_compare_rejects_different_process_parameters():
+    kw = dict(controller={"kind": "ghr"}, y_star=[90.0], replications=2, master_seed=11)
+    cfgs = [
+        ExperimentConfig(process=ARIMA_PROCESS, **kw),
+        ExperimentConfig(process=dict(ARIMA_PROCESS, sigma=5.0), **kw),
     ]
     with pytest.raises(ConfigError):
         compare_controllers(cfgs, ["a", "b"])
