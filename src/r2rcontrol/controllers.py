@@ -8,9 +8,11 @@ gradient search controller driven by a fitted output distribution.
 Every policy subclasses :class:`Controller`.  ``prepare`` does any
 offline learning for one replication and returns how many online paths
 that replication runs; ``run_path`` runs one path on a freshly reset
-process.  The base ``run_path`` drives the one-shot
-``next_action``/``observe`` loop; controllers that iterate several trial
-actions inside a period override it and talk to the simulator directly.
+process.  A policy only chooses actions: ``reset`` sets up per-path
+state and ``act`` calls ``model.step`` once or, for controllers that
+iterate trial actions, several times per period.  ``Controller.run_path``
+is the one path loop: it commits the last trial of each period and
+records the committed action, output and disturbance.
 """
 
 from __future__ import annotations
@@ -63,39 +65,34 @@ class ControllerConfig:
 
 
 class Controller:
-    """Observe the latest output, emit the next action.
+    """Choose each period's action; ``run_path`` commits and records it.
 
     The harness calls ``prepare`` once per replication, then ``run_path``
     once per online path.
     """
 
+    diagnostics: dict = {}
+
     def prepare(self, model: ProcessModel, n_learning_paths: int, master_seed: int, replication: int) -> int:
         """Do any offline learning; return how many online paths the replication runs."""
         return n_learning_paths
 
-    def reset(self, model: ProcessModel) -> None:
-        pass
+    def reset(self, model: ProcessModel, seed: int) -> None:
+        """Set up per-path state before period 1."""
 
-    def next_action(self, y_prev: np.ndarray, t: int) -> np.ndarray:
+    def act(self, model: ProcessModel, t: int) -> None:
+        """Call ``model.step(u, t)`` one or more times; the last draw is committed."""
         raise NotImplementedError
-
-    def observe(self, t: int, u: np.ndarray, y: np.ndarray) -> None:
-        pass
 
     def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
         """One T-period trajectory on a model already reset to ``seed``."""
-        self.reset(model)
+        self.reset(model, seed)
         us, ys, ds = [], [], []
-        y_prev = model.y0.copy()
         for t in range(1, model.T + 1):
-            u = np.atleast_1d(np.asarray(self.next_action(y_prev, t), dtype=float))
-            y = model.step(u, t)
-            model.commit()
-            self.observe(t, u, y)
-            us.append(u)
-            ys.append(y)
+            self.act(model, t)
+            ys.append(model.commit())
+            us.append(model.u_committed)
             ds.append(model.last_disturbance)
-            y_prev = y
         d = None if ds[0] is None else np.asarray(ds, dtype=float)
         return SamplePath(u=np.array(us), y=np.array(ys), d=d, y0=model.y0, seed=seed)
 
@@ -103,11 +100,8 @@ class Controller:
 class NullController(Controller):
     """u = 0 every period (the no-control baseline)."""
 
-    def reset(self, model):
-        self._u = np.zeros(model.control_dim)
-
-    def next_action(self, y_prev, t):
-        return self._u
+    def act(self, model, t):
+        model.step(np.zeros(model.control_dim), t)
 
 
 class LinearOracleController(Controller):
@@ -119,10 +113,10 @@ class LinearOracleController(Controller):
         self.delta = np.atleast_1d(np.asarray(delta, dtype=float))
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
 
-    def next_action(self, y_prev, t):
+    def act(self, model, t):
         rhs = self.y_star - self.A - self.delta * t
         u, *_ = np.linalg.lstsq(self.B, rhs, rcond=None)
-        return u
+        model.step(u, t)
 
 
 class RandomActionController(Controller):
@@ -132,12 +126,11 @@ class RandomActionController(Controller):
         self.spread = float(spread)
         self.tag = tag
 
-    def reset(self, model):
-        self._rng = make_rng(model.seed, tag=self.tag)
-        self._dim = model.control_dim
+    def reset(self, model, seed):
+        self._rng = make_rng(seed, tag=self.tag)
 
-    def next_action(self, y_prev, t):
-        return self._rng.normal(0.0, self.spread, size=self._dim)
+    def act(self, model, t):
+        model.step(self._rng.normal(0.0, self.spread, size=model.control_dim), t)
 
 
 def random_action_paths(model: ProcessModel, n: int, seed: int, spread: float, tag: str) -> list[SamplePath]:
@@ -165,16 +158,15 @@ class EwmaController(Controller):
         self.a_init = None if a_init is None else np.atleast_1d(np.asarray(a_init, dtype=float))
         self._pinv = np.linalg.pinv(self.B)
 
-    def reset(self, model):
+    def reset(self, model, seed):
         if self.a_init is not None:
             self.a_hat = self.a_init.copy()
         else:
             self.a_hat = np.zeros(model.output_dim)
 
-    def next_action(self, y_prev, t):
-        return self._pinv @ (self.y_star - self.a_hat)
-
-    def observe(self, t, u, y):
+    def act(self, model, t):
+        u = self._pinv @ (self.y_star - self.a_hat)
+        y = model.step(u, t)
         self.a_hat = self.lam * (y - self.B @ u) + (1.0 - self.lam) * self.a_hat
 
 
@@ -194,16 +186,15 @@ class GhrController(Controller):
         self.s = float(s)
         self.a_init = float(a_init)
 
-    def reset(self, model):
+    def reset(self, model, seed):
         self.a_hat = self.a_init
 
-    def next_action(self, y_prev, t):
-        return np.array([(self.y_star - self.a_hat) / self.b])
-
-    def observe(self, t, u, y):
+    def act(self, model, t):
+        u = (self.y_star - self.a_hat) / self.b
+        y = model.step(np.array([u]), t)
         lam = self.c / (t + self.s)
         lam = min(max(lam, 0.0), 1.0)
-        self.a_hat = lam * (float(y[0]) - self.b * float(u[0])) + (1.0 - lam) * self.a_hat
+        self.a_hat = lam * (float(y[0]) - self.b * u) + (1.0 - lam) * self.a_hat
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,6 @@ def rl_alg1_action_optimize(
     model_family: str,
     bounds: tuple[float, float],
     warm_start: np.ndarray | None = None,
-    control_dim: int | None = None,
 ) -> np.ndarray:
     """Minimize the fitted model's squared target miss over the action box.
 
@@ -366,7 +356,6 @@ class RlAlg1Controller(Controller):
         self.pool = _PooledFit(self.n_features, output_dim)
         self.theta = np.zeros((self.n_features, output_dim))
         self.paths_run = 0
-        self.diagnostics: dict = {}
         min_explore = config.explore_min_samples or 3 * self.n_features
         self._min_explore = min_explore
 
@@ -385,52 +374,42 @@ class RlAlg1Controller(Controller):
             warm_start=warm,
         )
 
-    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
-        cfg = self.config
-        explore_rng = make_rng(seed, tag="alg1-explore")
-        us, ys = [], []
-        inner_counts = []
-        converged_flags = []
-        u_warm = self._warm_start()
-        for t in range(1, model.T + 1):
-            u_k = u_warm.copy()
-            y = model.step(u_k, t)
-            self.pool.add(self._features(u_k, t), y)
-            converged = False
-            for k in range(cfg.max_inner_iters):
-                theta_prev = self.theta
-                self.theta, ridged = self.pool.solve()
-                if ridged or self.pool.n < self._min_explore:
-                    u_next = u_k + explore_rng.normal(
-                        0.0, cfg.explore_scale, size=self.control_dim
-                    )
-                    u_next = np.clip(u_next, cfg.action_low, cfg.action_high)
-                else:
-                    u_next = self._optimize(t, u_k)
-                y = model.step(u_next, t)
-                self.pool.add(self._features(u_next, t), y)
-                theta_step = float(np.linalg.norm(self.theta - theta_prev))
-                action_step = float(np.linalg.norm(u_next - u_k))
-                u_k = u_next
-                if theta_step < cfg.epsilon and action_step < cfg.eta:
-                    converged = True
-                    break
-            if not converged:
-                log.debug("period %d: inner loop hit max_inner_iters, using last iterate", t)
-            model.commit()
-            inner_counts.append(k + 1)
-            converged_flags.append(converged)
-            us.append(u_k)
-            ys.append(y)
-            u_warm = u_k
+    def reset(self, model, seed):
+        self._explore_rng = make_rng(seed, tag="alg1-explore")
         self.paths_run += 1
         self.diagnostics = {
-            "inner_iterations": inner_counts,
-            "converged": converged_flags,
+            "inner_iterations": [],
+            "converged": [],
             "pooled_samples": self.pool.n,
             "paths_run": self.paths_run,
         }
-        return SamplePath(u=np.array(us), y=np.array(ys), d=None, y0=model.y0, seed=seed)
+
+    def act(self, model, t):
+        cfg = self.config
+        # warm start: the action committed last period
+        u_k = (model.u_committed if t > 1 else self._warm_start()).copy()
+        self.pool.add(self._features(u_k, t), model.step(u_k, t))
+        converged = False
+        for k in range(cfg.max_inner_iters):
+            theta_prev = self.theta
+            self.theta, ridged = self.pool.solve()
+            if ridged or self.pool.n < self._min_explore:
+                u_next = u_k + self._explore_rng.normal(0.0, cfg.explore_scale, size=self.control_dim)
+                u_next = np.clip(u_next, cfg.action_low, cfg.action_high)
+            else:
+                u_next = self._optimize(t, u_k)
+            self.pool.add(self._features(u_next, t), model.step(u_next, t))
+            theta_step = float(np.linalg.norm(self.theta - theta_prev))
+            action_step = float(np.linalg.norm(u_next - u_k))
+            u_k = u_next
+            if theta_step < cfg.epsilon and action_step < cfg.eta:
+                converged = True
+                break
+        if not converged:
+            log.debug("period %d: inner loop hit max_inner_iters, using last iterate", t)
+        self.diagnostics["inner_iterations"].append(k + 1)
+        self.diagnostics["converged"].append(converged)
+        self.diagnostics["pooled_samples"] = self.pool.n
 
 
 class OapeController(RlAlg1Controller):
@@ -453,19 +432,13 @@ class OapeController(RlAlg1Controller):
                 self.pool.add(self._features(path.u[t - 1], t), path.y[t - 1])
         self.theta, _ = self.pool.solve()
 
-    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
+    def reset(self, model, seed):
         if self.pool.n == 0:
             raise ConfigError("OAPE controller must learn before running")
-        us, ys = [], []
-        warm = np.zeros(model.control_dim)
-        for t in range(1, model.T + 1):
-            u = self._optimize(t, warm)
-            y = model.step(u, t)
-            model.commit()
-            us.append(u)
-            ys.append(y)
-            warm = u
-        return SamplePath(u=np.array(us), y=np.array(ys), d=None, y0=model.y0, seed=seed)
+
+    def act(self, model, t):
+        # warm start: the action committed last period (zero at t = 1)
+        model.step(self._optimize(t, model.u_committed), t)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +459,6 @@ class RlPgsController(Controller):
         self.config = config
         self.params = params
         self.offline_store: list[SamplePath] = []
-        self.diagnostics: dict = {}
 
     def prepare(self, model, n_learning_paths, master_seed, replication):
         self.learn_offline(
@@ -501,52 +473,46 @@ class RlPgsController(Controller):
         self.offline_store += random_action_paths(model, n_paths, seed, self.config.offline_action_spread, "pgs")
         self.params = fit_pgs_params(self.offline_store, self.config.variance_form)
 
-    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
+    def reset(self, model, seed):
         if self.params is None:
             raise ConfigError("PGS controller needs fitted distribution parameters")
+        self.diagnostics = {"inner_iterations": []}
+
+    def act(self, model, t):
         cfg = self.config
         y_star = float(cfg.y_star[0])
-        us, ys = [], []
-        inner_counts = []
-        u_prev = 0.0
-        y_prev = float(model.y0[0])
-        u_warm = u_prev if cfg.u_init is None else float(np.atleast_1d(cfg.u_init)[0])
-        for t in range(1, model.T + 1):
-            alpha = cfg.alpha_step
-            halvings = 0
-            while True:  # restart the period from the warm start on divergence
-                u_k = u_warm
-                y = float(model.step(np.array([u_k]), t)[0])
-                diverged = False
-                for k in range(cfg.max_inner_iters):
-                    cost = (y - y_star) ** 2
-                    grad = cost * self.params.score_u(y, y_prev, u_k, u_prev, t)
-                    u_next = u_k - alpha * grad
-                    if abs(u_next) > cfg.guard_bound:
-                        diverged = True
-                        break
-                    if abs(u_next - u_k) < cfg.eta:
-                        break
-                    u_k = u_next
-                    y = float(model.step(np.array([u_k]), t)[0])
-                if not diverged:
+        u_prev = float(model.u_committed[0])
+        y_prev = float(model.y_committed[0])
+        u_warm = u_prev if t > 1 or cfg.u_init is None else float(np.atleast_1d(cfg.u_init)[0])
+        alpha = cfg.alpha_step
+        halvings = 0
+        while True:  # restart the period from the warm start on divergence
+            u_k = u_warm
+            y = float(model.step(np.array([u_k]), t)[0])
+            diverged = False
+            for k in range(cfg.max_inner_iters):
+                cost = (y - y_star) ** 2
+                grad = cost * self.params.score_u(y, y_prev, u_k, u_prev, t)
+                u_next = u_k - alpha * grad
+                if abs(u_next) > cfg.guard_bound:
+                    diverged = True
                     break
-                halvings += 1
-                if halvings > 5:
-                    raise PeriodAbortError(
-                        f"period {t}: iterates diverged after 5 step-size halvings"
-                    )
-                alpha /= 2.0
-            model.commit()
-            inner_counts.append(k + 1)
-            us.append([u_k])
-            ys.append([y])
-            u_prev = u_k
-            y_prev = y
-            u_warm = u_k
-        path = SamplePath(u=np.array(us), y=np.array(ys), d=None, y0=model.y0, seed=seed)
+                if abs(u_next - u_k) < cfg.eta:
+                    break
+                u_k = u_next
+                y = float(model.step(np.array([u_k]), t)[0])
+            if not diverged:
+                break
+            halvings += 1
+            if halvings > 5:
+                raise PeriodAbortError(f"period {t}: iterates diverged after 5 step-size halvings")
+            alpha /= 2.0
+        self.diagnostics["inner_iterations"].append(k + 1)
+
+    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
+        """One path, which also joins the offline store."""
+        path = super().run_path(model, seed)
         self.offline_store.append(path)
-        self.diagnostics = {"inner_iterations": inner_counts}
         return path
 
 

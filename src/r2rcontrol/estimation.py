@@ -177,10 +177,13 @@ def fit_pgs_params(offline_paths, variance_form: str = "time_linear") -> PgsDist
     if len(paths) < 2 or any(p.horizon < 2 for p in paths):
         raise UnidentifiableError("need at least two offline paths of length >= 2")
     du, dy, t = _increments(paths)
-    denom = float(du @ du)
+    # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits dot products of
+    # more than about 10k elements across threads, so its result would
+    # depend on the BLAS thread count
+    denom = float(np.sum(du * du))
     if denom == 0.0:
         raise UnidentifiableError("all action increments are zero; beta unidentifiable")
-    beta = float(du @ dy) / denom
+    beta = float(np.sum(du * dy)) / denom
     resid = dy - beta * du
     if variance_form == "time_linear":
         gamma2 = float(np.mean(resid**2 / t))

@@ -18,13 +18,13 @@ from .errors import ConfigError
 from .estimation import RatioMoments
 from .harness import (
     ExperimentConfig,
-    _fmt,
     boxplot_rows,
     compare_controllers,
     error_ratio_series,
     run_replications,
     summarize,
     write_boxplot_csv,
+    write_csv,
 )
 from .processes import process_from_config, simulate_path
 from .ratio_normal import RatioDistribution
@@ -90,15 +90,8 @@ def table1_experiment(
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["n_paths,rl_mean_mse,oape_mean_mse,rl_std_mse,oape_std_mse"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [str(r["n_paths"])]
-                    + [_fmt(r[k]) for k in ("rl_mean_mse", "oape_mean_mse", "rl_std_mse", "oape_std_mse")]
-                )
-            )
-        (out / "table1.csv").write_text("\n".join(lines) + "\n")
+        header = ["n_paths", "rl_mean_mse", "oape_mean_mse", "rl_std_mse", "oape_std_mse"]
+        write_csv(out / "table1.csv", header, [[r[k] for k in header] for r in rows])
         (out / "table1.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -126,25 +119,10 @@ def table2_experiment(seed: int, replications: int = 30, out_dir=None, threads: 
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["case,no_control_mean_mse,rl_mean_mse,mean_ratio,no_control_std_mse,rl_std_mse,std_ratio"]
-        for case, r in rows.items():
-            lines.append(
-                ",".join(
-                    [case]
-                    + [
-                        _fmt(r[k])
-                        for k in (
-                            "no_control_mean_mse",
-                            "rl_mean_mse",
-                            "mean_ratio",
-                            "no_control_std_mse",
-                            "rl_std_mse",
-                            "std_ratio",
-                        )
-                    ]
-                )
-            )
-        (out / "table2.csv").write_text("\n".join(lines) + "\n")
+        columns = ["no_control_mean_mse", "rl_mean_mse", "mean_ratio",
+                   "no_control_std_mse", "rl_std_mse", "std_ratio"]
+        table = [[case] + [r[k] for k in columns] for case, r in rows.items()]
+        write_csv(out / "table2.csv", ["case", *columns], table)
         (out / "table2.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -293,9 +271,6 @@ def theory_check(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "theory_report.json").write_text(json.dumps(report, indent=2) + "\n")
-        lines = ["u,cdf,cdf_normal_approx,pdf"]
-        pdf_vals = dist.pdf(grid)
-        for u, f, fs, p in zip(grid, F, F_star, pdf_vals):
-            lines.append(",".join(_fmt(v) for v in (u, f, fs, p)))
-        (out / "theory_grid.csv").write_text("\n".join(lines) + "\n")
+        header = ["u", "cdf", "cdf_normal_approx", "pdf"]
+        write_csv(out / "theory_grid.csv", header, zip(grid, F, F_star, dist.pdf(grid)))
     return report

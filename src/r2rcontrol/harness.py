@@ -146,7 +146,7 @@ def run_replication(config: ExperimentConfig, rep: int) -> RunResult:
     except R2RError as exc:
         exc.args = (f"replication {rep}, {where}: {exc}",) + exc.args[1:]
         raise
-    diagnostics = dict(getattr(controller, "diagnostics", {}) or {})
+    diagnostics = dict(controller.diagnostics)
     diagnostics["kind"] = config.controller.get("kind")
     return RunResult(
         path=path,
@@ -194,8 +194,11 @@ def summarize(results: list[RunResult], baseline_mean_mse: float | None = None) 
     )
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
+def write_csv(out_path, header: list[str], rows) -> None:
+    """One line per row: numbers formatted with ``FLOAT_FMT``, strings as they are."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows]
+    Path(out_path).write_text("\n".join(lines) + "\n")
 
 
 def write_paths_csv(results: list[RunResult], out_path) -> None:
@@ -208,16 +211,12 @@ def write_paths_csv(results: list[RunResult], out_path) -> None:
         + [f"y_{j + 1}" for j in range(m_y)]
         + ["d"]
     )
-    lines = [",".join(header)]
-    for rep, res in enumerate(results):
-        p = res.path
-        for t in range(p.horizon):
-            row = [str(rep), str(t + 1)]
-            row += [_fmt(v) for v in p.u[t]]
-            row += [_fmt(v) for v in p.y[t]]
-            row.append(_fmt(p.d[t]) if p.d is not None else "")
-            lines.append(",".join(row))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    rows = [
+        [rep, t + 1, *res.path.u[t], *res.path.y[t], "" if res.path.d is None else res.path.d[t]]
+        for rep, res in enumerate(results)
+        for t in range(res.path.horizon)
+    ]
+    write_csv(out_path, header, rows)
 
 
 def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
@@ -245,17 +244,8 @@ def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
 
 def write_boxplot_csv(rows: list[dict], out_path) -> None:
     """Write :func:`boxplot_rows` output as CSV."""
-    header = "path_index,q1,median,q3,whisker_low,whisker_high,n_outliers"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [str(row["path_index"])]
-                + [_fmt(row[k]) for k in ("q1", "median", "q3", "whisker_low", "whisker_high")]
-                + [str(row["n_outliers"])]
-            )
-        )
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    header = ["path_index", "q1", "median", "q3", "whisker_low", "whisker_high", "n_outliers"]
+    write_csv(out_path, header, [[row[k] for k in header] for row in rows])
 
 
 def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = None) -> SummaryStats:
@@ -334,10 +324,6 @@ def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_
             "n_outliers": int(np.sum((costs < q1 - 1.5 * iqr) | (costs > q3 + 1.5 * iqr))),
         }
     if out_path is not None:
-        lines = ["replication," + ",".join(labels)]
-        for rep in range(base.replications):
-            lines.append(
-                ",".join([str(rep)] + [_fmt(col[rep]) for col in cost_columns])
-            )
-        Path(out_path).write_text("\n".join(lines) + "\n")
+        rows = [[rep] + [col[rep] for col in cost_columns] for rep in range(base.replications)]
+        write_csv(out_path, ["replication", *labels], rows)
     return report

@@ -3,8 +3,10 @@
 Each simulator is a single-threaded state machine over integer periods
 t = 1..T.  ``step(u, t)`` draws the period-t output from the committed
 state at t-1 without advancing; ``commit()`` promotes the most recent
-draw to the committed state.  Controllers that iterate several trial
-actions within one period call ``step`` repeatedly and ``commit`` once.
+draw to the committed state.  A controller's ``act`` calls ``step`` once
+or, to try several actions within one period, repeatedly;
+``Controller.run_path`` then calls ``commit`` once per period and records
+the committed action, output and (ARIMA only) disturbance.
 
 Families:
 

@@ -2,22 +2,24 @@
 
 The digests were recorded from small runs of the presets and protocols
 below (numpy 2.4, scipy 1.17, OpenBLAS on x86-64), and agree between one
-and two BLAS threads.  The PGS presets and ``table2`` are left out:
-their offline fits take dot products long enough for OpenBLAS to split
-across threads, so their bytes depend on the BLAS thread count.
+and two BLAS threads.  ``gamma_pgs``, and hence ``table2``, are left out:
+their online PGS paths abort with ``PeriodAbortError`` on some seeds (see
+the open ``FOUND`` line in CHANGES.md), so a small run of them is not a
+stable fixture.
 """
 
 import hashlib
 
 from r2rcontrol.experiments import (
     figure2_experiment,
+    figure5_experiment,
     preset_config,
     quadratic_error_ratio_experiment,
 )
 from r2rcontrol.harness import run_experiment
 
 SEED = 20260826
-PRESETS = ("cmp_rl", "cmp_oape", "cmp_ewma", "arima_ghr", "wiener_null", "gamma_null")
+PRESETS = ("cmp_rl", "cmp_oape", "cmp_ewma", "arima_ghr", "wiener_null", "gamma_null", "arima_pgs", "wiener_pgs")
 
 EXPECTED = {
     "arima_ghr/audit/0.json": "38c87853a501ccac6c6648ca114884bc7749423c00a3a373ed648ac62a7dc0b8",
@@ -26,6 +28,12 @@ EXPECTED = {
     "arima_ghr/boxplot.csv": "1ae946dbd2716a2d6101e66597aed83d238c2245de52c665dd002f1859e89a1d",
     "arima_ghr/paths.csv": "b096bc0e8aa9187254dcb494d64441d03a8a95584479edc85f187293cdf0b6b6",
     "arima_ghr/summary.json": "b188419645e51399fce22050d2f25cebdb24450483bf346019ae1424f618c4b9",
+    "arima_pgs/audit/0.json": "d31edf661ad22cc7207d90cd513c30af8dd34b7baa8a227bfba88bccedfd7d6a",
+    "arima_pgs/audit/1.json": "92c55821a49ae156c2dc419c8cbf9443e8631683b0ca69ef7bc742a65a2c9f63",
+    "arima_pgs/audit/2.json": "f2c7a69238b5b1b9df0642b877d9e0578717b44092ce9343bf100aac6899a53a",
+    "arima_pgs/boxplot.csv": "eb8dc802688433837b5c57d82e2240dd16e68d307171cd4b1dfb6d5f5c5d329f",
+    "arima_pgs/paths.csv": "ca9a63962a9df6e7c58831fa878edb23e4cf6a9a1df2362ef3dbe917a1417f41",
+    "arima_pgs/summary.json": "075c727fc4cc83c21c31f50129fa623ca7ed7d03a7c67d44d7a7d36681f2c854",
     "cmp_ewma/audit/0.json": "2b712d9a04a79600a02dc6d4b99c17a091e6ba998b3686145c3c15b1df3beb6b",
     "cmp_ewma/audit/1.json": "1c556534b4e12bc7121f5224597a7457aed2ec9a09c501c58a791f3e714b4b3c",
     "cmp_ewma/audit/2.json": "31eeb385e8966e08359b917c6b4df615bb93b6a77e490e1423a48b7c7247e7db",
@@ -47,6 +55,8 @@ EXPECTED = {
     "figure2/figure2.json": "bd1e34a704049f2d0d1dacb0d2153a332bc56ea9389229cf0e3cca0ee30b6fc8",
     "figure2/figure2_ewma.csv": "e21026347b0fce7a814764f50ac1f3d60c284eb444f7ba292f4ee674910691cd",
     "figure2/figure2_rl.csv": "53d343a98e931626205cd2334eb9e21299c56ff493933be4c7ea9a72190d1b82",
+    "figure5/figure5.csv": "d55af51f9e3a4c448991bdc2172ba5d5dc687897a04e45bb9715e8753081dbfa",
+    "figure5/figure5.json": "ce5d00299cd8bc1121b9e357dcfeb8a0e3b478b2472cd22a7d1890262dd56385",
     "gamma_null/audit/0.json": "666bb5908ac3cd68db5c19397f42fe14a84acc23056a2ae58cafc269c86c73c4",
     "gamma_null/audit/1.json": "7d0c01ecfee989323dca91f6ae0a7c2f4aeedbf44c9789b21ba4d0d1963abfdf",
     "gamma_null/audit/2.json": "7486847f721d7bb8b3af225e94d5bf1f63c8329409d7abb6ce0b0e1239ba4f2b",
@@ -60,6 +70,12 @@ EXPECTED = {
     "wiener_null/boxplot.csv": "19b0d36eb0974667ee244cd0ba478f6035524d19aa8516e5c7ffbc0d914a9920",
     "wiener_null/paths.csv": "214f8fa2447f33a5cd210a99d32a38c1b8b7482e6d099b2b7cf0288ffbd5ca36",
     "wiener_null/summary.json": "6f742413b0ea6eacde47fc05abaa632e0ed2e3827ac45c2cffb330b3d57617e5",
+    "wiener_pgs/audit/0.json": "f6aacbd53e9677f3647b0b170c934f41ad618d519d26bb2228a1d0cb9db6682e",
+    "wiener_pgs/audit/1.json": "2ae3fc1ac298e130a61314ae71ae8786527c2b129088160ad3d0819328654153",
+    "wiener_pgs/audit/2.json": "65f4c1976cb6a47c194794ba66d0ba13954f184e56c7abd22826b071ab59a628",
+    "wiener_pgs/boxplot.csv": "cd1c28f271b42d0809db3d6962608a43a0ee6ba59125fcc30be3fcf14739ec3d",
+    "wiener_pgs/paths.csv": "25b230ce6de2e5f191602662939a499178e7b9e669bc0d53c2d19c70153e6e21",
+    "wiener_pgs/summary.json": "2e0bc619118a4c08094056bad4f17e9d2dd6231bdad3ecc605805b990b9f0aa6",
 }
 
 
@@ -69,6 +85,7 @@ def write_artifacts(root) -> dict:
         run_experiment(preset_config(name, replications=3, n_learning_paths=n_paths,
                                      output_dir=str(root / name)))
     figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2")
+    figure5_experiment(SEED, replications=3, out_dir=root / "figure5")
     quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,
                                      out_dir=root / "quadratic")
     return {

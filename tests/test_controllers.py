@@ -298,6 +298,28 @@ def test_pgs_aborts_after_five_failed_halvings():
 
 
 # ---------------------------------------------------------------------------
+# the recorded path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_controller",
+    [
+        lambda: GhrController(b=-1.8, y_star=90.0, a_init=91.7),
+        lambda: RlPgsController(ControllerConfig(y_star=90.0, eta=0.2, guard_bound=1000.0),
+                                params=PgsDistributionParams(beta=-1.8, gamma=1.0)),
+    ],
+    ids=["ghr", "pgs"],
+)
+def test_arima_path_records_the_committed_disturbance(make_controller):
+    model = _arima_model()
+    path = simulate_path(model, make_controller(), seed=8)
+    assert path.d is not None
+    p = model.params
+    np.testing.assert_allclose(path.y[:, 0], p.a + p.b * path.u[:, 0] + path.d, rtol=0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # config factory
 # ---------------------------------------------------------------------------
 

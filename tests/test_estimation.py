@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import r2rcontrol
 
 from r2rcontrol.errors import DegenerateDesignError, SingularDesignError
 from r2rcontrol.estimation import (
@@ -162,6 +169,34 @@ def test_time_linear_variance_wins_when_increment_scale_grows():
     lin = fit_pgs_params(paths, "time_linear")
     con = fit_pgs_params(paths, "constant")
     assert pgs_log_likelihood(lin, paths) > pgs_log_likelihood(con, paths)
+
+
+# Fits 150 paths x 80 periods = 12,000 increments: past the length at which
+# OpenBLAS splits a dot product across threads.  With BLAS dot products the
+# two thread counts below gave betas that differ in the last bits.
+_PGS_FIT_SCRIPT = """
+import numpy as np
+from r2rcontrol.estimation import fit_pgs_params
+from r2rcontrol.processes import SamplePath
+from r2rcontrol.rng import make_rng
+rng = make_rng(12, tag="pgs-blas")
+paths = [SamplePath(u=rng.normal(0, 1.0, size=(80, 1)), y=90 + np.cumsum(rng.normal(0, 1.0, size=(80, 1)), axis=0),
+                    d=None, y0=np.array([90.0]), seed=0) for _ in range(150)]
+fit = fit_pgs_params(paths, "time_linear")
+print(repr(fit.beta), repr(float(fit.gamma)))
+"""
+
+
+def test_pgs_fit_does_not_depend_on_blas_threads():
+    src = str(Path(r2rcontrol.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        res = subprocess.run([sys.executable, "-c", _PGS_FIT_SCRIPT], env=env, capture_output=True,
+                             text=True, check=True)
+        out.append(res.stdout)
+    assert out[0] == out[1]
 
 
 # --- ratio moments -------------------------------------------------------------
