@@ -43,14 +43,12 @@ class ControllerConfig:
     lambda_ewma: float = 0.3
     ghr_c: float = 20.0
     ghr_s: float = 19.0
-    u_init: np.ndarray | None = None
     action_low: float = -1e6
     action_high: float = 1e6
     guard_bound: float = 1e6
     model_family: str = "linear"  # approximate family for the RL controller
     variance_form: str = "time_linear"
     explore_scale: float = 1.0  # dither while the pooled design is uninformative
-    explore_min_samples: int = 0  # 0 -> 3 * n_features
     n_offline_paths: int = 100
     offline_action_spread: float = 1.0
 
@@ -335,8 +333,9 @@ class RlAlg1Controller(Controller):
     The pooled dataset persists across sample paths (the approximate
     families here are time-independent, with t entering as a regressor),
     so later paths start from an already-informed fit.  While the pooled
-    design is still uninformative, trial actions are dithered around the
-    warm start by a seeded exploration stream.
+    design is still uninformative (fewer than 3 * n_features samples, or a
+    ridged solve), trial actions are dithered around the warm start by a
+    seeded exploration stream.
     """
 
     def __init__(self, config: ControllerConfig, control_dim: int, output_dim: int):
@@ -356,13 +355,6 @@ class RlAlg1Controller(Controller):
         self.pool = _PooledFit(self.n_features, output_dim)
         self.theta = np.zeros((self.n_features, output_dim))
         self.paths_run = 0
-        min_explore = config.explore_min_samples or 3 * self.n_features
-        self._min_explore = min_explore
-
-    def _warm_start(self) -> np.ndarray:
-        if self.config.u_init is not None:
-            return np.atleast_1d(np.asarray(self.config.u_init, dtype=float))
-        return np.zeros(self.control_dim)
 
     def _optimize(self, t: int, warm: np.ndarray) -> np.ndarray:
         return rl_alg1_action_optimize(
@@ -386,14 +378,14 @@ class RlAlg1Controller(Controller):
 
     def act(self, model, t):
         cfg = self.config
-        # warm start: the action committed last period
-        u_k = (model.u_committed if t > 1 else self._warm_start()).copy()
+        # warm start: the action committed last period (zero at t = 1)
+        u_k = model.u_committed.copy()
         self.pool.add(self._features(u_k, t), model.step(u_k, t))
         converged = False
         for k in range(cfg.max_inner_iters):
             theta_prev = self.theta
             self.theta, ridged = self.pool.solve()
-            if ridged or self.pool.n < self._min_explore:
+            if ridged or self.pool.n < 3 * self.n_features:
                 u_next = u_k + self._explore_rng.normal(0.0, cfg.explore_scale, size=self.control_dim)
                 u_next = np.clip(u_next, cfg.action_low, cfg.action_high)
             else:
@@ -483,11 +475,10 @@ class RlPgsController(Controller):
         y_star = float(cfg.y_star[0])
         u_prev = float(model.u_committed[0])
         y_prev = float(model.y_committed[0])
-        u_warm = u_prev if t > 1 or cfg.u_init is None else float(np.atleast_1d(cfg.u_init)[0])
         alpha = cfg.alpha_step
         halvings = 0
-        while True:  # restart the period from the warm start on divergence
-            u_k = u_warm
+        while True:  # restart the period from the last committed action on divergence
+            u_k = u_prev
             y = float(model.step(np.array([u_k]), t)[0])
             diverged = False
             for k in range(cfg.max_inner_iters):
@@ -522,12 +513,16 @@ class RlPgsController(Controller):
 
 
 def controller_from_config(cfg: dict, model: ProcessModel, y_star) -> Controller:
-    """Build a controller from a config mapping with a ``kind`` key."""
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    known = {f for f in ControllerConfig.__dataclass_fields__}
-    extra = {k: v for k, v in cfg.items() if k not in known}
-    base = ControllerConfig(y_star=y_star, **{k: v for k, v in cfg.items() if k in known})
+    """Build a controller from a config mapping with a ``kind`` key.
+
+    Every other key must be a :class:`ControllerConfig` field.
+    """
+    settings = dict(cfg)
+    kind = settings.pop("kind", None)
+    try:
+        base = ControllerConfig(y_star=y_star, **settings)
+    except TypeError as exc:
+        raise ConfigError(f"bad controller settings for {kind!r}: {exc}") from exc
     if kind == "null":
         return NullController()
     if kind == "oracle":
@@ -537,10 +532,10 @@ def controller_from_config(cfg: dict, model: ProcessModel, y_star) -> Controller
         return RandomActionController(base.offline_action_spread)
     if kind == "ewma":
         p = model.params
-        return EwmaController(p.B, y_star, base.lambda_ewma, a_init=extra.get("a_init", p.A))
+        return EwmaController(p.B, y_star, base.lambda_ewma, a_init=p.A)
     if kind == "ghr":
         p = model.params
-        return GhrController(p.b, y_star, base.ghr_c, base.ghr_s, a_init=extra.get("a_init", p.a))
+        return GhrController(p.b, y_star, base.ghr_c, base.ghr_s, a_init=p.a)
     if kind == "rl_alg1":
         return RlAlg1Controller(base, model.control_dim, model.output_dim)
     if kind == "oape":

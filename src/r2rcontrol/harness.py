@@ -150,7 +150,7 @@ def run_replication(config: ExperimentConfig, rep: int) -> RunResult:
     diagnostics["kind"] = config.controller.get("kind")
     return RunResult(
         path=path,
-        total_cost=total_cost(path, y_star),
+        total_cost=per_path_costs[-1],
         mse=mse(path, y_star),
         per_path_costs=per_path_costs,
         diagnostics=diagnostics,
@@ -314,14 +314,10 @@ def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_
         results = run_replications(cfg)
         costs = np.array([r.total_cost for r in results])
         cost_columns.append(costs)
-        q1, med, q3 = np.percentile(costs, [25, 50, 75])
-        iqr = q3 - q1
+        box = boxplot_rows(costs[:, None])[0]
         report["controllers"][label] = {
             "costs": costs.tolist(),
-            "median": float(med),
-            "q1": float(q1),
-            "q3": float(q3),
-            "n_outliers": int(np.sum((costs < q1 - 1.5 * iqr) | (costs > q3 + 1.5 * iqr))),
+            **{k: box[k] for k in ("median", "q1", "q3", "n_outliers")},
         }
     if out_path is not None:
         rows = [[rep] + [col[rep] for col in cost_columns] for rep in range(base.replications)]

@@ -179,11 +179,9 @@ class ProcessModel:
     output_dim: int
     family: str
 
-    def __init__(self, horizon: int, y0: np.ndarray):
+    def __init__(self, horizon: int, y0):
         self.T = int(horizon)
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        self._rng = make_rng(0, tag=self.family)
-        self.seed = 0
+        self.y0 = np.array(y0, dtype=float, ndmin=1)  # a copy: never aliases the params
         self.reset(0)
 
     def reset(self, seed: int) -> None:
@@ -251,16 +249,14 @@ class LinearCmpProcess(ProcessModel):
 
     family = "linear_cmp"
 
-    def __init__(self, params: LinearCmpParams, y0=None):
+    def __init__(self, params: LinearCmpParams):
         self.params = params
         self.output_dim = params.A.shape[0]
         self.control_dim = params.B.shape[1]
         # symmetric PSD factor so non-diagonal Lambda is accepted
         vals, vecs = np.linalg.eigh(params.Lambda)
         self._noise_factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        if y0 is None:
-            y0 = params.A.copy()
-        super().__init__(params.T, y0)
+        super().__init__(params.T, params.A)
 
     def _draw(self, u, t):
         p = self.params
@@ -280,11 +276,9 @@ class ArimaProcess(ProcessModel):
     control_dim = 1
     output_dim = 1
 
-    def __init__(self, params: ArimaProcessParams, y0=None):
+    def __init__(self, params: ArimaProcessParams):
         self.params = params
-        if y0 is None:
-            y0 = np.array([params.a])
-        super().__init__(params.T, y0)
+        super().__init__(params.T, params.a)
 
     def _reset_state(self):
         self._d = 0.0
@@ -314,11 +308,9 @@ class QuadraticCmpProcess(ProcessModel):
     control_dim = 3
     output_dim = 2
 
-    def __init__(self, params: QuadraticCmpParams, y0=None):
+    def __init__(self, params: QuadraticCmpParams):
         self.params = params
-        if y0 is None:
-            y0 = np.array([params.coeffs1[0], params.coeffs2[0]])
-        super().__init__(params.T, y0)
+        super().__init__(params.T, [params.coeffs1[0], params.coeffs2[0]])
 
     @staticmethod
     def quad_features(u: np.ndarray) -> np.ndarray:
@@ -352,11 +344,9 @@ class WienerProcess(ProcessModel):
     control_dim = 1
     output_dim = 1
 
-    def __init__(self, params: WienerParams, y0=None):
+    def __init__(self, params: WienerParams):
         self.params = params
-        if y0 is None:
-            y0 = np.array([params.y0])
-        super().__init__(params.T, y0)
+        super().__init__(params.T, params.y0)
 
     def _draw(self, u, t):
         p = self.params
@@ -376,11 +366,9 @@ class GammaProcess(ProcessModel):
     control_dim = 1
     output_dim = 1
 
-    def __init__(self, params: GammaParams, y0=None):
+    def __init__(self, params: GammaParams):
         self.params = params
-        if y0 is None:
-            y0 = np.array([params.y0])
-        super().__init__(params.T, y0)
+        super().__init__(params.T, params.y0)
 
     def _draw(self, u, t):
         p = self.params
@@ -465,10 +453,9 @@ def process_from_config(cfg: dict) -> ProcessModel:
     family = cfg.pop("family", None)
     if family not in _PARAM_CLASSES:
         raise ConfigError(f"unknown process family {family!r}")
-    y0 = cfg.pop("y0_vector", None)
     param_cls, model_cls = _PARAM_CLASSES[family]
     try:
         params = param_cls(**cfg)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for {family}: {exc}") from exc
-    return model_cls(params, y0=y0)
+    return model_cls(params)

@@ -136,22 +136,21 @@ class RatioDistribution:
     """
 
     moments: RatioMoments
-    sign_convention: str = "auto"
 
     def __post_init__(self):
-        if self.sign_convention == "auto":
-            self.sign_convention = "b_negative" if self.moments.mu2 < 0 else "b_positive"
-        if self.sign_convention not in ("b_positive", "b_negative"):
-            raise DegenerateDistributionError(
-                f"unknown sign convention {self.sign_convention!r}"
-            )
         if abs(self.moments.rho) >= 1.0 - 1e-12:
             raise DegenerateDistributionError("|rho| = 1 gives a degenerate ratio")
         m = self.moments
-        if self.sign_convention == "b_negative":
+        self._flip = m.mu2 < 0
+        if self._flip:
             self._m = RatioMoments(m.mu1, -m.mu2, m.sigma1, m.sigma2, -m.sigma12)
         else:
             self._m = m
+
+    @property
+    def sign_convention(self) -> str:
+        """``"b_negative"`` when mu2 < 0, else ``"b_positive"``."""
+        return "b_negative" if self._flip else "b_positive"
 
     # internal Hinkley pieces for the (possibly sign-flipped) moments -------
 
@@ -205,24 +204,22 @@ class RatioDistribution:
 
     def pdf(self, u):
         u = np.asarray(u, dtype=float)
-        x = -u if self.sign_convention == "b_negative" else u
+        x = -u if self._flip else u
         out = self._pdf_pos(x)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
-        flip = self.sign_convention == "b_negative"
         scalar = u.ndim == 0
-        vals = np.array([self._cdf_pos(-x if flip else x) for x in np.atleast_1d(u)])
-        if flip:
+        vals = np.array([self._cdf_pos(-x if self._flip else x) for x in np.atleast_1d(u)])
+        if self._flip:
             vals = 1.0 - vals
         return float(vals[0]) if scalar else vals
 
     def cdf_normal_approx(self, u):
         u = np.asarray(u, dtype=float)
-        flip = self.sign_convention == "b_negative"
-        vals = self._approx_pos(-u if flip else u)
-        if flip:
+        vals = self._approx_pos(-u if self._flip else u)
+        if self._flip:
             vals = 1.0 - vals
         return float(vals) if vals.ndim == 0 else vals
 

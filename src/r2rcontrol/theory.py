@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import SingularDesignError
 from .estimation import RatioMoments
@@ -127,7 +127,7 @@ def analytic_bounds(moments: RatioMoments, eta: float) -> tuple[float, float]:
     """Both lines of the control-error bound at threshold eta."""
     m = moments
     num = m.sigma2**2 * m.sigma1**2 - m.sigma12**2
-    tail = 2.0 * norm.cdf(-abs(m.mu2) / m.sigma2)
+    tail = 2.0 * ndtr(-abs(m.mu2) / m.sigma2)
     return (
         num / (m.mu2 * m.sigma2 * eta) ** 2 + tail,
         num / (m.sigma2 * eta) ** 2 + tail,

@@ -1,6 +1,10 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,10 +59,15 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_config_key_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("bad, key", [
+    ({"bogus": 1}, "bogus"),
+    ({"controller": {"kind": "ewma", "lamda_ewma": 0.7}}, "lamda_ewma"),
+], ids=["top_level", "controller"])
+def test_bad_config_key_is_config_error(bad, key, tmp_path, capsys):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps({**CONFIG, "bogus": 1}))
+    f.write_text(json.dumps({**CONFIG, **bad}))
     assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_set_override_changes_nested_value(config_file, tmp_path, capsys):
@@ -134,3 +143,12 @@ def test_unsupported_flags_and_commands_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second of start-up; scipy.special.ndtr is all the CLI needs
+    src = str(Path(r2rcontrol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, r2rcontrol.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -336,6 +336,8 @@ def test_controller_factory_builds_every_kind():
     assert isinstance(controller_from_config({"kind": "rl_pgs"}, arima, 90.0), RlPgsController)
 
 
-def test_controller_factory_rejects_unknown_kind():
+@pytest.mark.parametrize("cfg", [{"kind": "pid"}, {"kind": "ewma", "lamda_ewma": 0.7}],
+                         ids=["unknown_kind", "misspelt_key"])
+def test_controller_factory_rejects_unknown_kind(cfg):
     with pytest.raises(ConfigError):
-        controller_from_config({"kind": "pid"}, _cmp_process(), Y_STAR)
+        controller_from_config(cfg, _cmp_process(), Y_STAR)

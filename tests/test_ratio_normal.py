@@ -153,11 +153,6 @@ def test_negative_gain_sign_flip_consistency():
     assert d.cdf(-0.4) == pytest.approx(emp, abs=5 * se + 1e-4)
 
 
-def test_unknown_sign_convention_rejected():
-    with pytest.raises(DegenerateDistributionError):
-        _dist(0.0, 1.0, 1.0, 1.0, 0.0, sign_convention="sideways")
-
-
 def test_perfect_correlation_rejected():
     with pytest.raises(DegenerateDistributionError):
         _dist(0.0, 1.0, 1.0, 1.0, 1.0)
