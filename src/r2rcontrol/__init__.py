@@ -21,16 +21,7 @@ from .processes import (
     WienerProcess,
     simulate_path,
 )
-from .estimation import (
-    LinearModelFit,
-    PgsDistributionParams,
-    RatioMoments,
-    RegressionDesign,
-    fit_least_squares,
-    fit_pgs_params,
-    prediction_variance,
-    ratio_moments_from_fit,
-)
+from .estimation import PgsDistributionParams, RatioMoments, fit_pgs_params
 from .ratio_normal import RatioDistribution, bvn_upper_orthant
 from .harness import ExperimentConfig, error_ratio_series, mse, run_experiment, total_cost
 
@@ -42,23 +33,18 @@ __all__ = [
     "GammaProcess",
     "LinearCmpParams",
     "LinearCmpProcess",
-    "LinearModelFit",
     "PgsDistributionParams",
     "QuadraticCmpParams",
     "QuadraticCmpProcess",
     "RatioDistribution",
     "RatioMoments",
-    "RegressionDesign",
     "SamplePath",
     "WienerParams",
     "WienerProcess",
     "bvn_upper_orthant",
     "error_ratio_series",
-    "fit_least_squares",
     "fit_pgs_params",
     "mse",
-    "prediction_variance",
-    "ratio_moments_from_fit",
     "run_experiment",
     "simulate_path",
     "total_cost",

@@ -44,6 +44,8 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {key!r}: {part!r} is not a mapping")
         node[parts[-1]] = value
     return raw
 

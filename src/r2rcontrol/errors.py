@@ -13,16 +13,8 @@ class HorizonError(R2RError):
     """Period index outside the configured horizon."""
 
 
-class SingularDesignError(R2RError):
-    """Regression design is rank deficient and no ridge fallback is enabled."""
-
-    def __init__(self, message, deficient_columns=None):
-        super().__init__(message)
-        self.deficient_columns = deficient_columns
-
-
 class DegenerateDesignError(R2RError):
-    """Action history has zero spread; prediction variance undefined."""
+    """Ratio moments with a non-positive sigma or |sigma12| > sigma1*sigma2."""
 
 
 class DegenerateDistributionError(R2RError):

@@ -1,52 +1,21 @@
-"""Least-squares and likelihood machinery shared by controllers and theory checks."""
+"""Estimation pieces shared by controllers and theory checks.
+
+* ``ridged_gram`` -- the one ridge fallback of the pooled least-squares solve,
+* ``PgsDistributionParams`` / ``fit_pgs_params`` -- the policy-gradient
+  controller's normal output-increment model and its closed-form fit,
+* ``RatioMoments`` -- moments of (y* - c_hat, b_hat) for the ratio
+  distribution and the control-error bound.
+"""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    SingularDesignError,
-    UnidentifiableError,
-)
+from .errors import DegenerateDesignError, UnidentifiableError
 
 RIDGE_REL = 1e-8  # fallback ridge: RIDGE_REL * trace(X'X)/p added to the diagonal
-
-
-@dataclass
-class RegressionDesign:
-    """Feature matrix and observed outputs for a linear fit."""
-
-    X: np.ndarray  # (n, p)
-    y: np.ndarray  # (n,) or (n, m_y)
-
-    def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DegenerateDesignError("X and y row counts differ")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise DegenerateDesignError("design contains non-finite entries")
-
-
-@dataclass
-class LinearModelFit:
-    """Least-squares fit with the pieces needed for variance formulas.
-
-    ``gram_inv`` is (X'X)^{-1} (or its ridge-regularized stand-in);
-    scaled by the residual variance it gives the estimator covariance.
-    Multi-output fits share one design and carry one residual variance
-    per output.
-    """
-
-    theta_hat: np.ndarray  # (p,) or (p, m_y)
-    residual_variance: float | np.ndarray
-    gram_inv: np.ndarray  # (p, p)
-    n_samples: int
-    ridged: bool = False
 
 
 def ridged_gram(gram: np.ndarray) -> np.ndarray:
@@ -54,62 +23,6 @@ def ridged_gram(gram: np.ndarray) -> np.ndarray:
     p = gram.shape[0]
     lam = RIDGE_REL * max(np.trace(gram), 1.0) / p
     return gram + lam * np.eye(p)
-
-
-def fit_least_squares(design: RegressionDesign, ridge_fallback: bool = True) -> LinearModelFit:
-    """Ordinary least squares with an unbiased residual-variance estimate.
-
-    Rank-deficient designs either raise (``ridge_fallback=False``) or fall
-    back to a tiny ridge proportional to trace(X'X)/p.
-    """
-    X, y = design.X, design.y
-    n, p = X.shape
-    gram = X.T @ X
-    xty = X.T @ y
-    rank = np.linalg.matrix_rank(gram)
-    ridged = False
-    if rank < p:
-        if not ridge_fallback:
-            raise SingularDesignError(
-                f"design is rank deficient: {p - rank} of {p} columns unidentifiable",
-                deficient_columns=p - rank,
-            )
-        gram = ridged_gram(gram)
-        ridged = True
-        warnings.warn("rank-deficient design; ridge fallback applied", RuntimeWarning)
-    gram_inv = np.linalg.inv(gram)
-    theta = gram_inv @ xty
-    resid = y - X @ theta
-    dof = max(n - rank, 1)
-    if resid.ndim == 1:
-        s2 = float(resid @ resid) / dof if n > rank else 0.0
-    else:
-        s2 = np.einsum("ij,ij->j", resid, resid) / dof if n > rank else np.zeros(resid.shape[1])
-    return LinearModelFit(
-        theta_hat=theta,
-        residual_variance=s2,
-        gram_inv=gram_inv,
-        n_samples=n,
-        ridged=ridged,
-    )
-
-
-def prediction_variance(fit: LinearModelFit, u_t: float, action_history) -> float:
-    """Prediction variance of a scalar y = a + b*u model at action ``u_t``:
-
-        (1/(t-1) + (u_t - ubar)^2 / sum_i (u_i - ubar)^2) * sigma^2,
-
-    where the history u_1..u_{t-1} are the previously executed actions.
-    """
-    hist = np.asarray(action_history, dtype=float).ravel()
-    if hist.size < 2:
-        raise DegenerateDesignError("need at least two historical actions")
-    ubar = hist.mean()
-    spread = float(np.sum((hist - ubar) ** 2))
-    if spread == 0.0:
-        raise DegenerateDesignError("action history has zero spread")
-    s2 = float(np.mean(np.atleast_1d(fit.residual_variance)))
-    return (1.0 / hist.size + (u_t - ubar) ** 2 / spread) * s2
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +55,6 @@ class PgsDistributionParams:
 
     def mean(self, y_prev, u, u_prev):
         return y_prev + self.beta * (u - u_prev)
-
-    def log_pdf(self, y, y_prev, u, u_prev, t):
-        v = self.variance(t)
-        mu = self.mean(y_prev, u, u_prev)
-        return -0.5 * np.log(2.0 * np.pi * v) - (y - mu) ** 2 / (2.0 * v)
 
     def score_u(self, y, y_prev, u, u_prev, t) -> float:
         """d/du log p(y; u) for the normal increment model."""
@@ -193,14 +101,6 @@ def fit_pgs_params(offline_paths, variance_form: str = "time_linear") -> PgsDist
     return PgsDistributionParams(beta=beta, gamma=gamma, variance_form=variance_form)
 
 
-def pgs_log_likelihood(params: PgsDistributionParams, offline_paths) -> float:
-    """Total log-likelihood of offline increments under the fitted model."""
-    du, dy, t = _increments(list(offline_paths))
-    v = params.gamma**2 * (t if params.variance_form == "time_linear" else np.ones_like(t))
-    r = dy - params.beta * du
-    return float(np.sum(-0.5 * np.log(2.0 * np.pi * v) - r**2 / (2.0 * v)))
-
-
 # ---------------------------------------------------------------------------
 # Ratio moments for the control-error bound machinery
 # ---------------------------------------------------------------------------
@@ -226,35 +126,3 @@ class RatioMoments:
     def rho(self) -> float:
         return float(np.clip(self.sigma12 / (self.sigma1 * self.sigma2), -1.0, 1.0))
 
-
-def ratio_moments_from_fit(
-    fit: LinearModelFit, trajectory_features, y_star: float
-) -> RatioMoments:
-    """Moments of (y* - c_hat, b_hat) for a design [u | K-features].
-
-    The fit must come from a design whose first column is the action u and
-    whose remaining columns are the trajectory features; ``c_hat`` is the
-    fitted feature block evaluated at ``trajectory_features``.
-    """
-    theta = np.asarray(fit.theta_hat, dtype=float).ravel()
-    k0 = np.atleast_1d(np.asarray(trajectory_features, dtype=float))
-    if theta.shape[0] != k0.shape[0] + 1:
-        raise DegenerateDesignError(
-            "trajectory features must match the fit's non-action columns"
-        )
-    s2 = float(np.mean(np.atleast_1d(fit.residual_variance)))
-    cov = s2 * fit.gram_inv
-    b_hat = theta[0]
-    c_hat = float(theta[1:] @ k0)
-    var_b = cov[0, 0]
-    var_c = float(k0 @ cov[1:, 1:] @ k0)
-    cov_cb = float(k0 @ cov[1:, 0])
-    if var_b <= 0 or var_c <= 0:
-        raise SingularDesignError("degenerate feature Gram block")
-    return RatioMoments(
-        mu1=float(y_star) - c_hat,
-        mu2=b_hat,
-        sigma1=float(np.sqrt(var_c)),
-        sigma2=float(np.sqrt(var_b)),
-        sigma12=-cov_cb,  # cov(y* - c_hat, b_hat) = -cov(c_hat, b_hat)
-    )

@@ -15,6 +15,7 @@ not matter.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -76,9 +77,22 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("process", "controller"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
+        for name in ("replications", "n_learning_paths", "master_seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1 or self.n_learning_paths < 1:
             raise ConfigError("replications and n_learning_paths must be >= 1")
-        self.y_star = list(np.atleast_1d(np.asarray(self.y_star, dtype=float)))
+        try:
+            y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float))
+            if not np.all(np.isfinite(y_star)):  # null becomes nan
+                raise ValueError
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"y_star must be finite numbers, got {self.y_star!r}") from exc
+        self.y_star = list(y_star)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

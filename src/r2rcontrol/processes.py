@@ -378,7 +378,7 @@ class GammaProcess(ProcessModel):
 
 
 # ---------------------------------------------------------------------------
-# Path generation and disturbance utilities
+# Path generation and the closed-form ARIMA output variance
 # ---------------------------------------------------------------------------
 
 
@@ -390,21 +390,6 @@ def simulate_path(model: ProcessModel, policy, seed: int) -> SamplePath:
     """
     model.reset(seed)
     return policy.run_path(model, seed)
-
-
-def arima_disturbance_stream(params: ArimaProcessParams, seed: int) -> np.ndarray:
-    """ARIMA(1,1,1) disturbance path d_1..d_T with zero initial conditions."""
-    rng = make_rng(seed, tag="arima-disturbance")
-    w = rng.normal(0.0, params.sigma, size=params.T)
-    d = np.empty(params.T)
-    dd_prev = 0.0
-    w_prev = 0.0
-    d_prev = 0.0
-    for t in range(params.T):
-        dd = params.phi * dd_prev + w[t] - params.theta * w_prev
-        d[t] = d_prev + dd
-        dd_prev, w_prev, d_prev = dd, w[t], d[t]
-    return d
 
 
 def arima_output_variance(

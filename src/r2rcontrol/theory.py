@@ -4,9 +4,8 @@
   paths (checked by log-log regression over a grid of N),
 * the probability that the estimated optimal action (a ratio of two
   correlated normal estimators) misses the true optimum by more than eta
-  is bounded by a Chebyshev-plus-normal-tail expression,
-* the quadratic g(u) = u^2 sigma2^2 - 2 u sigma12 + sigma1^2 that drives
-  the bound, and the weighted sample mean projection it is applied to.
+  is bounded by a Chebyshev-plus-normal-tail expression whose numerator
+  is sigma2^2 sigma1^2 - sigma12^2.
 """
 
 from __future__ import annotations
@@ -16,45 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import SingularDesignError
 from .estimation import RatioMoments
 from .rng import make_rng
-
-# ---------------------------------------------------------------------------
-# g(u) and the weighted sample mean
-# ---------------------------------------------------------------------------
-
-
-def g_variance_function(moments: RatioMoments, u) -> float | np.ndarray:
-    """g(u) = u^2 sigma2^2 - 2 u sigma12 + sigma1^2."""
-    u = np.asarray(u, dtype=float)
-    out = u**2 * moments.sigma2**2 - 2.0 * u * moments.sigma12 + moments.sigma1**2
-    return float(out) if out.ndim == 0 else out
-
-
-def g_argmin(moments: RatioMoments) -> float:
-    """Minimizer of g: sigma12 / sigma2^2 (set dg/du = 0 and solve)."""
-    return moments.sigma12 / moments.sigma2**2
-
-
-def g_min(moments: RatioMoments) -> float:
-    """Minimum of g: (sigma2^2 sigma1^2 - sigma12^2) / sigma2^2."""
-    return (moments.sigma2**2 * moments.sigma1**2 - moments.sigma12**2) / moments.sigma2**2
-
-
-def weighted_sample_mean(trajectory_features, K, U) -> float:
-    """Projection of offline actions onto the online feature direction:
-
-        ubar = k0' (K'K)^{-1} K' U.
-    """
-    k0 = np.atleast_1d(np.asarray(trajectory_features, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    U = np.asarray(U, dtype=float).ravel()
-    gram = K.T @ K
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        raise SingularDesignError("K'K is singular")
-    return float(k0 @ np.linalg.solve(gram, K.T @ U))
-
 
 # ---------------------------------------------------------------------------
 # Control-error probability bound
@@ -84,8 +46,8 @@ class BoundReport:
     n_trials: int
     moments: RatioMoments | None = None
 
-    def satisfied(self, n_se: float = 3.0) -> bool:
-        """Empirical frequency within bound + n_se binomial standard errors."""
+    def satisfied(self) -> bool:
+        """Empirical frequency within bound + 3 binomial standard errors."""
         ok = True
         for freq, bound in (
             (self.empirical_freq_action, self.bound_action),
@@ -94,7 +56,7 @@ class BoundReport:
             if bound >= 1.0:  # vacuous bound, trivially satisfied
                 continue
             se = np.sqrt(max(freq * (1.0 - freq), 1.0 / self.n_trials) / self.n_trials)
-            ok = ok and freq <= bound + n_se * se
+            ok = ok and freq <= bound + 3.0 * se
         return bool(ok)
 
     def to_dict(self) -> dict:
@@ -196,8 +158,9 @@ class RateReport:
     bias_mean: np.ndarray  # (p,)
     bias_se: np.ndarray  # (p,)
 
-    def bias_ci_covers_zero(self, n_se: float = 3.0) -> bool:
-        return bool(np.all(np.abs(self.bias_mean) <= n_se * self.bias_se))
+    def bias_ci_covers_zero(self) -> bool:
+        """Mean estimator bias within 3 standard errors of zero."""
+        return bool(np.all(np.abs(self.bias_mean) <= 3.0 * self.bias_se))
 
     def to_dict(self) -> dict:
         return {

@@ -83,10 +83,21 @@ def test_set_override_changes_nested_value(config_file, tmp_path, capsys):
     assert summary["controller"]["lambda_ewma"] == 0.7
 
 
-def test_malformed_override_is_config_error(config_file, tmp_path):
+@pytest.mark.parametrize("override", [
+    "replications",
+    "replications.x=1",
+    "process=5",
+    "controller=[1]",
+    'y_star="abc"',
+    "n_learning_paths=2.5",
+    "y_star=[null, 100]",
+    "master_seed=true",
+])
+def test_malformed_override_is_config_error(override, config_file, tmp_path, capsys):
     rc = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
-               "--set", "replications"])
+               "--set", override])
     assert rc == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config_seed(config_file, tmp_path):

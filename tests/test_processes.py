@@ -15,7 +15,6 @@ from r2rcontrol.processes import (
     QuadraticCmpProcess,
     WienerParams,
     WienerProcess,
-    arima_disturbance_stream,
     arima_output_variance,
     process_from_config,
     simulate_path,
@@ -117,15 +116,6 @@ def arima_params(**kw):
     return ArimaProcessParams(**base)
 
 
-def test_arima_disturbance_stream_matches_recursion():
-    p = arima_params(T=10)
-    d = arima_disturbance_stream(p, seed=5)
-    assert d.shape == (10,)
-    # differences follow the stationary ARMA recursion: increments shrink
-    # toward the innovation scale, so everything must stay finite and real
-    assert np.all(np.isfinite(d))
-
-
 def test_arima_variance_reduces_to_random_walk_when_phi_equals_theta():
     p = arima_params(phi=0.4, theta=0.4, sigma=1.3)
     for t in (1, 7, 40):
@@ -143,7 +133,8 @@ def test_arima_variance_exact_exceeds_independent_increment_form():
 def test_arima_variance_monte_carlo_small():
     p = arima_params(T=20)
     n = 20000
-    d20 = np.array([arima_disturbance_stream(p, seed=i)[-1] for i in range(n)])
+    model = ArimaProcess(p)
+    d20 = np.array([simulate_path(model, NullController(), i).d[-1] for i in range(n)])
     v_emp = d20.var(ddof=1)
     v_exact = arima_output_variance(p, 20)
     se = v_emp * np.sqrt(2.0 / (n - 1))

@@ -1,97 +1,17 @@
-"""Tests for the variance quadratic, projection mean, and rate/bound checkers."""
+"""Tests for the control-error bound and estimator-rate checkers."""
 
 import numpy as np
 import pytest
 
-from r2rcontrol.errors import SingularDesignError
-from r2rcontrol.estimation import RatioMoments
 from r2rcontrol.rng import make_rng
 from r2rcontrol.theory import (
     BoundConfig,
     DEFAULT_BOUND_BATTERY,
     analytic_bounds,
     bound_moments,
-    g_argmin,
-    g_min,
-    g_variance_function,
     theorem1_rate_check,
     theorem2_bound_check,
-    weighted_sample_mean,
 )
-
-
-# ---------------------------------------------------------------------------
-# g(u) quadratic
-# ---------------------------------------------------------------------------
-
-
-def test_g_uncorrelated_minimum_at_zero():
-    m = RatioMoments(mu1=1.0, mu2=1.0, sigma1=1.7, sigma2=0.9, sigma12=0.0)
-    assert g_argmin(m) == 0.0
-    assert g_min(m) == pytest.approx(1.7**2)
-
-
-def test_g_complete_the_square_example():
-    m = RatioMoments(mu1=0.0, mu2=1.0, sigma1=2.0, sigma2=1.0, sigma12=1.0)
-    assert g_argmin(m) == pytest.approx(1.0)
-    assert g_min(m) == pytest.approx(3.0)
-
-
-def test_g_attains_min_at_argmin_exactly():
-    m = RatioMoments(mu1=0.3, mu2=-1.8, sigma1=0.41, sigma2=0.17, sigma12=0.031)
-    assert g_variance_function(m, g_argmin(m)) == pytest.approx(g_min(m), abs=1e-12)
-
-
-def test_g_dominates_min_everywhere():
-    rng = make_rng(31, tag="g-prop")
-    m = RatioMoments(mu1=0.3, mu2=1.8, sigma1=0.41, sigma2=0.17, sigma12=0.031)
-    u = rng.normal(0, 50.0, size=1000)
-    assert np.all(g_variance_function(m, u) >= g_min(m) - 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# weighted sample mean
-# ---------------------------------------------------------------------------
-
-
-def test_intercept_only_projection_is_arithmetic_mean():
-    U = np.array([3.0, -1.0, 2.5, 7.0])
-    K = np.ones((4, 1))
-    assert weighted_sample_mean([1.0], K, U) == pytest.approx(U.mean())
-
-
-def test_projection_matches_normal_equations_solve():
-    rng = make_rng(32, tag="proj")
-    K = rng.normal(0, 1, size=(40, 3))
-    U = rng.normal(0, 2, size=40)
-    k0 = rng.normal(0, 1, size=3)
-    expected = float(k0 @ np.linalg.lstsq(K, U, rcond=None)[0])
-    assert weighted_sample_mean(k0, K, U) == pytest.approx(expected, abs=1e-10)
-
-
-def test_projection_invariant_to_column_reparameterization():
-    rng = make_rng(33, tag="proj-inv")
-    K = rng.normal(0, 1, size=(25, 3))
-    U = rng.normal(0, 1, size=25)
-    k0 = rng.normal(0, 1, size=3)
-    base = weighted_sample_mean(k0, K, U)
-    for _ in range(5):
-        M = rng.normal(0, 1, size=(3, 3))
-        while abs(np.linalg.det(M)) < 1e-3:
-            M = rng.normal(0, 1, size=(3, 3))
-        assert weighted_sample_mean(k0 @ M, K @ M, U) == pytest.approx(base, abs=1e-9)
-
-
-def test_constant_offline_actions_reproduce_themselves():
-    K = np.column_stack([np.ones(10), np.linspace(-1, 1, 10)])
-    U = np.full(10, 0.944)
-    assert weighted_sample_mean([1.0, 0.2], K, U) == pytest.approx(0.944)
-
-
-def test_singular_feature_gram_rejected():
-    K = np.column_stack([np.ones(6), np.ones(6)])
-    with pytest.raises(SingularDesignError):
-        weighted_sample_mean([1.0, 1.0], K, np.arange(6.0))
 
 
 # ---------------------------------------------------------------------------
