@@ -6,11 +6,10 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, R2RError
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, read_config, run_experiment
 from . import experiments
 
 # preset subcommand -> (experiment function, help); the functions hold the defaults
@@ -51,12 +50,7 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 
 def _load_config(args) -> ExperimentConfig:
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        raw = json.load(fh)
-    raw = _apply_overrides(raw, args.set or [])
+    raw = _apply_overrides(read_config(args.config), args.set or [])
     if args.seed is not None:
         raw["master_seed"] = args.seed
     if args.threads is not None:
@@ -67,7 +61,7 @@ def _load_config(args) -> ExperimentConfig:
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:
-        raise ConfigError(f"bad config key in {path}: {exc}") from exc
+        raise ConfigError(f"bad config key in {args.config}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,48 +18,31 @@ records the committed action, output and disturbance.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 from scipy import optimize
 
 from .errors import ConfigError, PeriodAbortError
-from .estimation import PgsDistributionParams, fit_pgs_params, ridged_gram
+from .estimation import VARIANCE_FORMS, PgsDistributionParams, fit_pgs_params, ridged_gram
 from .processes import ProcessModel, QuadraticCmpProcess, SamplePath, simulate_path
 from .rng import derive_int_seed, make_rng
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class ControllerConfig:
-    """Hyperparameters shared across the controller families."""
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return value
 
-    y_star: np.ndarray | float = 0.0
-    epsilon: float = 1.0  # parameter-convergence threshold
-    eta: float = 1.0  # action-convergence threshold
-    alpha_step: float = 0.05  # policy-gradient step size
-    max_inner_iters: int = 20
-    lambda_ewma: float = 0.3
-    ghr_c: float = 20.0
-    ghr_s: float = 19.0
-    action_low: float = -1e6
-    action_high: float = 1e6
-    guard_bound: float = 1e6
-    model_family: str = "linear"  # approximate family for the RL controller
-    variance_form: str = "time_linear"
-    explore_scale: float = 1.0  # dither while the pooled design is uninformative
-    n_offline_paths: int = 100
-    offline_action_spread: float = 1.0
 
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.eta <= 0 or self.alpha_step <= 0:
-            raise ConfigError("convergence thresholds and step size must be positive")
-        if self.max_inner_iters < 1:
-            raise ConfigError("max_inner_iters must be >= 1")
-        if not 0.0 <= self.lambda_ewma <= 1.0:
-            raise ConfigError("lambda_ewma must lie in [0, 1]")
-        self.y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float))
+def _at_least_one(name: str, value) -> int:
+    value = operator.index(value)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return value
 
 
 class Controller:
@@ -153,6 +136,8 @@ class EwmaController(Controller):
             raise ConfigError("gain matrix has no right inverse")
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
         self.lam = float(lambda_ewma)
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError("lambda_ewma must lie in [0, 1]")
         self.a_init = None if a_init is None else np.atleast_1d(np.asarray(a_init, dtype=float))
         self._pinv = np.linalg.pinv(self.B)
 
@@ -171,17 +156,18 @@ class EwmaController(Controller):
 class GhrController(Controller):
     """Harmonic-discount EWMA variant for scalar processes.
 
-    The discount weight at period t is lambda_t = c/(t + s); c = 0 gives a
-    dead-reckoned controller and s -> infinity recovers the frozen filter.
+    The discount weight at period t is lambda_t = c/(t + s) with c = ghr_c
+    and s = ghr_s; c = 0 gives a dead-reckoned controller and s -> infinity
+    recovers the frozen filter.
     """
 
-    def __init__(self, b: float, y_star: float, c: float = 20.0, s: float = 19.0, a_init: float = 0.0):
+    def __init__(self, b: float, y_star: float, ghr_c: float = 20.0, ghr_s: float = 19.0, a_init: float = 0.0):
         if b == 0.0:
             raise ConfigError("process gain b must be nonzero")
         self.b = float(b)
         self.y_star = float(np.atleast_1d(y_star)[0])
-        self.c = float(c)
-        self.s = float(s)
+        self.c = float(ghr_c)
+        self.s = float(ghr_s)
         self.a_init = float(a_init)
 
     def reset(self, model, seed):
@@ -327,7 +313,37 @@ def _quadratic_features(u: np.ndarray, t: int) -> np.ndarray:
     return np.concatenate([QuadraticCmpProcess.quad_features(u), [float(t)]])
 
 
-class RlAlg1Controller(Controller):
+class _ModelFitController(Controller):
+    """Pooled least-squares fit of an approximate model family, and the action it prescribes."""
+
+    def __init__(self, y_star, control_dim: int, output_dim: int, *,
+                 model_family: str = "linear", action_low: float = -1e6, action_high: float = 1e6):
+        self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
+        self.control_dim = control_dim
+        self.output_dim = output_dim
+        self.model_family = model_family
+        self.action_low = float(action_low)
+        self.action_high = float(action_high)
+        if model_family == "linear":
+            self._features = _linear_features
+            self.n_features = control_dim + 2
+        elif model_family == "quadratic":
+            if control_dim != 3:
+                raise ConfigError("quadratic family expects 3 control variables")
+            self._features = _quadratic_features
+            self.n_features = 11
+        else:
+            raise ConfigError(f"unknown model family {model_family!r}")
+        self.pool = _PooledFit(self.n_features, output_dim)
+        self.theta = np.zeros((self.n_features, output_dim))
+
+    def _optimize(self, t: int, warm: np.ndarray) -> np.ndarray:
+        return rl_alg1_action_optimize(
+            self.theta, self.y_star, t, self.model_family, (self.action_low, self.action_high), warm_start=warm
+        )
+
+
+class RlAlg1Controller(_ModelFitController):
     """Model-based RL controller: alternate refit and action optimization.
 
     The pooled dataset persists across sample paths (the approximate
@@ -335,36 +351,18 @@ class RlAlg1Controller(Controller):
     so later paths start from an already-informed fit.  While the pooled
     design is still uninformative (fewer than 3 * n_features samples, or a
     ridged solve), trial actions are dithered around the warm start by a
-    seeded exploration stream.
+    seeded exploration stream of scale ``explore_scale``.  A period ends
+    when the fit moves less than ``epsilon`` and the action less than ``eta``.
     """
 
-    def __init__(self, config: ControllerConfig, control_dim: int, output_dim: int):
-        self.config = config
-        self.control_dim = control_dim
-        self.output_dim = output_dim
-        if config.model_family == "linear":
-            self._features = _linear_features
-            self.n_features = control_dim + 2
-        elif config.model_family == "quadratic":
-            if control_dim != 3:
-                raise ConfigError("quadratic family expects 3 control variables")
-            self._features = _quadratic_features
-            self.n_features = 11
-        else:
-            raise ConfigError(f"unknown model family {config.model_family!r}")
-        self.pool = _PooledFit(self.n_features, output_dim)
-        self.theta = np.zeros((self.n_features, output_dim))
+    def __init__(self, y_star, control_dim: int, output_dim: int, *, epsilon: float = 1.0, eta: float = 1.0,
+                 max_inner_iters: int = 20, explore_scale: float = 1.0, **model_fit):
+        super().__init__(y_star, control_dim, output_dim, **model_fit)
+        self.epsilon = _positive("epsilon", epsilon)
+        self.eta = _positive("eta", eta)
+        self.max_inner_iters = _at_least_one("max_inner_iters", max_inner_iters)
+        self.explore_scale = _positive("explore_scale", explore_scale)
         self.paths_run = 0
-
-    def _optimize(self, t: int, warm: np.ndarray) -> np.ndarray:
-        return rl_alg1_action_optimize(
-            self.theta,
-            self.config.y_star,
-            t,
-            self.config.model_family,
-            (self.config.action_low, self.config.action_high),
-            warm_start=warm,
-        )
 
     def reset(self, model, seed):
         self._explore_rng = make_rng(seed, tag="alg1-explore")
@@ -377,24 +375,23 @@ class RlAlg1Controller(Controller):
         }
 
     def act(self, model, t):
-        cfg = self.config
         # warm start: the action committed last period (zero at t = 1)
         u_k = model.u_committed.copy()
         self.pool.add(self._features(u_k, t), model.step(u_k, t))
         converged = False
-        for k in range(cfg.max_inner_iters):
+        for k in range(self.max_inner_iters):
             theta_prev = self.theta
             self.theta, ridged = self.pool.solve()
             if ridged or self.pool.n < 3 * self.n_features:
-                u_next = u_k + self._explore_rng.normal(0.0, cfg.explore_scale, size=self.control_dim)
-                u_next = np.clip(u_next, cfg.action_low, cfg.action_high)
+                u_next = u_k + self._explore_rng.normal(0.0, self.explore_scale, size=self.control_dim)
+                u_next = np.clip(u_next, self.action_low, self.action_high)
             else:
                 u_next = self._optimize(t, u_k)
             self.pool.add(self._features(u_next, t), model.step(u_next, t))
             theta_step = float(np.linalg.norm(self.theta - theta_prev))
             action_step = float(np.linalg.norm(u_next - u_k))
             u_k = u_next
-            if theta_step < cfg.epsilon and action_step < cfg.eta:
+            if theta_step < self.epsilon and action_step < self.eta:
                 converged = True
                 break
         if not converged:
@@ -404,12 +401,17 @@ class RlAlg1Controller(Controller):
         self.diagnostics["pooled_samples"] = self.pool.n
 
 
-class OapeController(RlAlg1Controller):
+class OapeController(_ModelFitController):
     """Optimize-after-parameter-estimation baseline.
 
-    Fits the model family once from randomly-actioned offline paths, then
-    controls one online path with the frozen fit (no learning by doing).
+    Fits the model family once from offline paths whose actions are normal
+    with standard deviation ``offline_action_spread``, then controls one
+    online path with the frozen fit (no learning by doing).
     """
+
+    def __init__(self, y_star, control_dim: int, output_dim: int, *, offline_action_spread: float = 1.0, **model_fit):
+        super().__init__(y_star, control_dim, output_dim, **model_fit)
+        self.offline_action_spread = _positive("offline_action_spread", offline_action_spread)
 
     def prepare(self, model, n_learning_paths, master_seed, replication):
         self.learn_offline(
@@ -419,7 +421,7 @@ class OapeController(RlAlg1Controller):
 
     def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
         """Pool ``n_paths`` random-action paths and freeze the fit."""
-        for path in random_action_paths(model, n_paths, seed, self.config.offline_action_spread, "oape"):
+        for path in random_action_paths(model, n_paths, seed, self.offline_action_spread, "oape"):
             for t in range(1, path.horizon + 1):
                 self.pool.add(self._features(path.u[t - 1], t), path.y[t - 1])
         self.theta, _ = self.pool.solve()
@@ -442,28 +444,41 @@ class RlPgsController(Controller):
     """Online policy gradient search against a fitted output distribution.
 
     Per period the action is iterated by u <- u - alpha * C(y) * d/du log
-    p(y; u), each step re-observing the process at the current action,
-    until the action increment falls below eta.  Divergent iterates halve
-    the step size; five failed halvings abort the period.
+    p(y; u), alpha = ``alpha_step``, each step re-observing the process at
+    the current action, until the action increment falls below ``eta``.
+    An iterate beyond ``guard_bound`` halves the step size; five failed
+    halvings abort the period.  ``prepare`` fits ``params`` from
+    ``n_offline_paths`` paths of random actions.
     """
 
-    def __init__(self, config: ControllerConfig, params: PgsDistributionParams | None = None):
-        self.config = config
+    def __init__(self, params: PgsDistributionParams | None = None, /, *, y_star, variance_form: str = "time_linear",
+                 alpha_step: float = 0.05, eta: float = 1.0, max_inner_iters: int = 20, guard_bound: float = 1e6,
+                 n_offline_paths: int = 100, offline_action_spread: float = 1.0):
+        if variance_form not in VARIANCE_FORMS:
+            raise ConfigError(f"unknown variance form {variance_form!r}")
         self.params = params
+        self.y_star = float(np.atleast_1d(y_star)[0])
+        self.variance_form = variance_form
+        self.alpha_step = _positive("alpha_step", alpha_step)
+        self.eta = _positive("eta", eta)
+        self.max_inner_iters = _at_least_one("max_inner_iters", max_inner_iters)
+        self.guard_bound = _positive("guard_bound", guard_bound)
+        self.n_offline_paths = _at_least_one("n_offline_paths", n_offline_paths)
+        self.offline_action_spread = _positive("offline_action_spread", offline_action_spread)
         self.offline_store: list[SamplePath] = []
 
     def prepare(self, model, n_learning_paths, master_seed, replication):
         self.learn_offline(
             model,
-            self.config.n_offline_paths,
+            self.n_offline_paths,
             derive_int_seed(master_seed, replication=replication, tag="pgs-learn"),
         )
         return n_learning_paths
 
     def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
         """Populate the offline store with random-action paths and fit (beta, gamma)."""
-        self.offline_store += random_action_paths(model, n_paths, seed, self.config.offline_action_spread, "pgs")
-        self.params = fit_pgs_params(self.offline_store, self.config.variance_form)
+        self.offline_store += random_action_paths(model, n_paths, seed, self.offline_action_spread, "pgs")
+        self.params = fit_pgs_params(self.offline_store, self.variance_form)
 
     def reset(self, model, seed):
         if self.params is None:
@@ -471,24 +486,22 @@ class RlPgsController(Controller):
         self.diagnostics = {"inner_iterations": []}
 
     def act(self, model, t):
-        cfg = self.config
-        y_star = float(cfg.y_star[0])
         u_prev = float(model.u_committed[0])
         y_prev = float(model.y_committed[0])
-        alpha = cfg.alpha_step
+        alpha = self.alpha_step
         halvings = 0
         while True:  # restart the period from the last committed action on divergence
             u_k = u_prev
             y = float(model.step(np.array([u_k]), t)[0])
             diverged = False
-            for k in range(cfg.max_inner_iters):
-                cost = (y - y_star) ** 2
+            for k in range(self.max_inner_iters):
+                cost = (y - self.y_star) ** 2
                 grad = cost * self.params.score_u(y, y_prev, u_k, u_prev, t)
                 u_next = u_k - alpha * grad
-                if abs(u_next) > cfg.guard_bound:
+                if abs(u_next) > self.guard_bound:
                     diverged = True
                     break
-                if abs(u_next - u_k) < cfg.eta:
+                if abs(u_next - u_k) < self.eta:
                     break
                 u_k = u_next
                 y = float(model.step(np.array([u_k]), t)[0])
@@ -500,46 +513,47 @@ class RlPgsController(Controller):
             alpha /= 2.0
         self.diagnostics["inner_iterations"].append(k + 1)
 
-    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
-        """One path, which also joins the offline store."""
-        path = super().run_path(model, seed)
-        self.offline_store.append(path)
-        return path
-
 
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
 
 
+def _model_fit_args(model: ProcessModel, y_star) -> dict:
+    return dict(y_star=y_star, control_dim=model.control_dim, output_dim=model.output_dim)
+
+
+# kind -> (class, the arguments it takes from the process model and the target)
+_KINDS = {
+    "null": (NullController, lambda model, y_star: {}),
+    "oracle": (
+        LinearOracleController,
+        lambda model, y_star: dict(A=model.params.A, B=model.params.B, delta=model.params.delta, y_star=y_star),
+    ),
+    "ewma": (EwmaController, lambda model, y_star: dict(B=model.params.B, y_star=y_star, a_init=model.params.A)),
+    "ghr": (GhrController, lambda model, y_star: dict(b=model.params.b, y_star=y_star, a_init=model.params.a)),
+    "rl_alg1": (RlAlg1Controller, _model_fit_args),
+    "oape": (OapeController, _model_fit_args),
+    "rl_pgs": (RlPgsController, lambda model, y_star: dict(y_star=y_star)),
+}
+
+
 def controller_from_config(cfg: dict, model: ProcessModel, y_star) -> Controller:
     """Build a controller from a config mapping with a ``kind`` key.
 
-    Every other key must be a :class:`ControllerConfig` field.
+    Every other key is a keyword argument of that kind's constructor, so a
+    key the kind does not read is a :class:`ConfigError`.
     """
     settings = dict(cfg)
     kind = settings.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown controller kind {kind!r}")
+    cls, model_args = _KINDS[kind]
     try:
-        base = ControllerConfig(y_star=y_star, **settings)
-    except TypeError as exc:
+        args = model_args(model, y_star)
+    except AttributeError as exc:
+        raise ConfigError(f"controller kind {kind!r} cannot control process family {model.family!r}") from exc
+    try:
+        return cls(**args, **settings)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad controller settings for {kind!r}: {exc}") from exc
-    if kind == "null":
-        return NullController()
-    if kind == "oracle":
-        p = model.params
-        return LinearOracleController(p.A, p.B, p.delta, y_star)
-    if kind == "random":
-        return RandomActionController(base.offline_action_spread)
-    if kind == "ewma":
-        p = model.params
-        return EwmaController(p.B, y_star, base.lambda_ewma, a_init=p.A)
-    if kind == "ghr":
-        p = model.params
-        return GhrController(p.b, y_star, base.ghr_c, base.ghr_s, a_init=p.a)
-    if kind == "rl_alg1":
-        return RlAlg1Controller(base, model.control_dim, model.output_dim)
-    if kind == "oape":
-        return OapeController(base, model.control_dim, model.output_dim)
-    if kind == "rl_pgs":
-        return RlPgsController(base)
-    raise ConfigError(f"unknown controller kind {kind!r}")

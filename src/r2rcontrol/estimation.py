@@ -29,6 +29,8 @@ def ridged_gram(gram: np.ndarray) -> np.ndarray:
 # Policy-gradient output distribution
 # ---------------------------------------------------------------------------
 
+VARIANCE_FORMS = ("time_linear", "constant")
+
 
 @dataclass
 class PgsDistributionParams:
@@ -45,7 +47,7 @@ class PgsDistributionParams:
     def __post_init__(self):
         if self.gamma <= 0:
             raise UnidentifiableError("gamma must be positive")
-        if self.variance_form not in ("time_linear", "constant"):
+        if self.variance_form not in VARIANCE_FORMS:
             raise UnidentifiableError(f"unknown variance form {self.variance_form!r}")
 
     def variance(self, t) -> float:

@@ -65,6 +65,18 @@ def error_ratio_series(path: SamplePath, y_star) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def read_config(path) -> dict:
+    """The JSON object in the file at ``path``; anything else is a :class:`ConfigError`."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # a missing or unreadable file, or invalid JSON
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, not a {type(raw).__name__}")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     process: dict
@@ -84,6 +96,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.replications < 1 or self.n_learning_paths < 1:
             raise ConfigError("replications and n_learning_paths must be >= 1")
         try:
@@ -96,10 +110,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
         try:
-            return cls(**raw)
+            return cls(**read_config(path))
         except TypeError as exc:
             raise ConfigError(f"bad experiment config {path}: {exc}") from exc
 
@@ -293,22 +305,10 @@ def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = N
                 "total_cost": res.total_cost,
                 "mse": res.mse,
                 "per_path_costs": res.per_path_costs,
-                "diagnostics": _jsonable(res.diagnostics),
+                "diagnostics": res.diagnostics,
             }
             (audit / f"{rep}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return stats
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_path=None) -> dict:

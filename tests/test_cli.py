@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -83,20 +84,48 @@ def test_set_override_changes_nested_value(config_file, tmp_path, capsys):
     assert summary["controller"]["lambda_ewma"] == 0.7
 
 
-@pytest.mark.parametrize("override", [
-    "replications",
-    "replications.x=1",
-    "process=5",
-    "controller=[1]",
-    'y_star="abc"',
-    "n_learning_paths=2.5",
-    "y_star=[null, 100]",
-    "master_seed=true",
-])
-def test_malformed_override_is_config_error(override, config_file, tmp_path, capsys):
-    rc = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
+MALFORMED = [
+    (None, "replications"),
+    (None, "replications.x=1"),
+    (None, "process=5"),
+    (None, "controller=[1]"),
+    (None, 'y_star="abc"'),
+    (None, "n_learning_paths=2.5"),
+    (None, "y_star=[null, 100]"),
+    (None, "master_seed=true"),
+    ("arima_ghr", "controller.lambda_ewma=0.7"),
+    ("arima_ghr", 'controller.ghr_c="abc"'),
+    ("arima_ghr", "controller.ghr_s=null"),
+    ("cmp_rl", 'controller.explore_scale="abc"'),
+    ("cmp_rl", "controller.explore_scale=-1"),
+    ("cmp_rl", 'controller.action_low="x"'),
+    ("cmp_rl", "controller.max_inner_iters=2.5"),
+    ("arima_pgs", 'controller.n_offline_paths="many"'),
+    ("arima_pgs", "controller.guard_bound=null"),
+    ("arima_pgs", 'controller.variance_form="cubic"'),
+    ("cmp_oape", 'controller.offline_action_spread="x"'),
+    ("cmp_ewma", 'controller.kind="ghr"'),
+    ("arima_ghr", 'controller.kind="ewma"'),
+    ("arima_ghr", 'controller.kind="oracle"'),
+    ("wiener_null", 'controller.kind="ghr"'),
+]
+
+
+@pytest.mark.parametrize("preset, override", MALFORMED,
+                         ids=[o if p is None else f"{p} {o}" for p, o in MALFORMED])
+def test_malformed_override_is_config_error(preset, override, config_file, tmp_path, capsys):
+    config = config_file if preset is None else resources.files("r2rcontrol.configs") / f"{preset}.json"
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--replications", "1",
                "--set", override])
     assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{not json", '"a string"'], ids=["list", "invalid_json", "string"])
+def test_config_file_that_is_not_a_json_object_is_config_error(text, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["run", "--config", str(f), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
 
 

@@ -1,15 +1,16 @@
-"""Tests for the five control policies and their shared configuration."""
+"""Tests for the five control policies and their construction from config."""
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from r2rcontrol.controllers import (
-    ControllerConfig,
     EwmaController,
     GhrController,
+    LinearOracleController,
     NullController,
     OapeController,
-    RandomActionController,
     RlAlg1Controller,
     RlPgsController,
     controller_from_config,
@@ -17,11 +18,13 @@ from r2rcontrol.controllers import (
 )
 from r2rcontrol.errors import ConfigError, PeriodAbortError
 from r2rcontrol.estimation import PgsDistributionParams
+from r2rcontrol.experiments import load_preset
 from r2rcontrol.processes import (
     ArimaProcess,
     ArimaProcessParams,
     LinearCmpParams,
     LinearCmpProcess,
+    process_from_config,
     simulate_path,
 )
 from r2rcontrol.rng import make_rng
@@ -54,15 +57,19 @@ def _scalar_process(sigma=0.0, T=30):
 
 def test_config_rejects_nonpositive_thresholds():
     with pytest.raises(ConfigError):
-        ControllerConfig(epsilon=0.0)
+        RlAlg1Controller(Y_STAR, 3, 2, epsilon=0.0)
     with pytest.raises(ConfigError):
-        ControllerConfig(eta=-1.0)
+        RlAlg1Controller(Y_STAR, 3, 2, eta=-1.0)
     with pytest.raises(ConfigError):
-        ControllerConfig(alpha_step=0.0)
+        RlAlg1Controller(Y_STAR, 3, 2, max_inner_iters=0)
     with pytest.raises(ConfigError):
-        ControllerConfig(max_inner_iters=0)
+        RlPgsController(y_star=90.0, alpha_step=0.0)
     with pytest.raises(ConfigError):
-        ControllerConfig(lambda_ewma=1.5)
+        RlPgsController(y_star=90.0, eta=-1.0)
+    with pytest.raises(ConfigError):
+        RlPgsController(y_star=90.0, max_inner_iters=0)
+    with pytest.raises(ConfigError):
+        EwmaController(CMP["B"], Y_STAR, lambda_ewma=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +106,7 @@ def test_ewma_rejects_gain_without_right_inverse():
 
 def test_ghr_zero_c_is_dead_reckoning():
     model = ArimaProcess(ArimaProcessParams(a=91.7, b=-1.8, phi=0.6, theta=0.5, sigma=1.0, T=40))
-    ctrl = GhrController(b=-1.8, y_star=90.0, c=0.0, s=19.0, a_init=91.7)
+    ctrl = GhrController(b=-1.8, y_star=90.0, ghr_c=0.0, ghr_s=19.0, a_init=91.7)
     path = simulate_path(model, ctrl, seed=5)
     assert np.allclose(path.u, path.u[0])
     assert path.u[0, 0] == pytest.approx((90.0 - 91.7) / -1.8)
@@ -107,7 +114,7 @@ def test_ghr_zero_c_is_dead_reckoning():
 
 def test_ghr_huge_s_matches_frozen_ewma():
     mk = lambda: ArimaProcess(ArimaProcessParams(a=91.7, b=-1.8, phi=0.6, theta=0.5, sigma=1.0, T=40))
-    ghr = GhrController(b=-1.8, y_star=90.0, c=20.0, s=1e12, a_init=91.7)
+    ghr = GhrController(b=-1.8, y_star=90.0, ghr_c=20.0, ghr_s=1e12, a_init=91.7)
     ewma = EwmaController([[-1.8]], [90.0], lambda_ewma=0.0, a_init=[91.7])
     p1 = simulate_path(mk(), ghr, seed=6)
     p2 = simulate_path(mk(), ewma, seed=6)
@@ -177,16 +184,12 @@ def test_quadratic_optimizer_beats_random_search():
 # ---------------------------------------------------------------------------
 
 
-def _alg1_config(**kw):
-    base = dict(y_star=Y_STAR, epsilon=1e-6, eta=1e-6, max_inner_iters=10,
-                explore_scale=1.0)
-    base.update(kw)
-    return ControllerConfig(**base)
+ALG1 = dict(epsilon=1e-6, eta=1e-6, max_inner_iters=10, explore_scale=1.0)
 
 
 def test_rl_alg1_noiseless_reaches_zero_cost():
     model = _cmp_process(noise=0.0)
-    ctrl = RlAlg1Controller(_alg1_config(), control_dim=3, output_dim=2)
+    ctrl = RlAlg1Controller(Y_STAR, control_dim=3, output_dim=2, **ALG1)
     path = ctrl.run_path(model, seed=10)
     tail = path.y[-10:]
     target = np.tile(Y_STAR, (10, 1))
@@ -194,7 +197,7 @@ def test_rl_alg1_noiseless_reaches_zero_cost():
 
 
 def test_rl_alg1_pool_persists_across_paths():
-    ctrl = RlAlg1Controller(_alg1_config(), control_dim=3, output_dim=2)
+    ctrl = RlAlg1Controller(Y_STAR, control_dim=3, output_dim=2, **ALG1)
     model = _cmp_process(noise=1.0)
     ctrl.run_path(model, seed=1)
     n1 = ctrl.diagnostics["pooled_samples"]
@@ -205,7 +208,7 @@ def test_rl_alg1_pool_persists_across_paths():
 
 
 def test_rl_alg1_noiseless_rerun_is_idempotent():
-    ctrl = RlAlg1Controller(_alg1_config(), control_dim=3, output_dim=2)
+    ctrl = RlAlg1Controller(Y_STAR, control_dim=3, output_dim=2, **ALG1)
     model = _cmp_process(noise=0.0)
     ctrl.run_path(model, seed=10)
     theta_before = ctrl.theta.copy()
@@ -217,7 +220,7 @@ def test_rl_alg1_noiseless_rerun_is_idempotent():
 def test_rl_alg1_deterministic_in_seed():
     paths = []
     for _ in range(2):
-        ctrl = RlAlg1Controller(_alg1_config(), control_dim=3, output_dim=2)
+        ctrl = RlAlg1Controller(Y_STAR, control_dim=3, output_dim=2, **ALG1)
         model = _cmp_process(noise=1.0)
         paths.append(ctrl.run_path(model, seed=7))
     np.testing.assert_array_equal(paths[0].u, paths[1].u)
@@ -226,7 +229,7 @@ def test_rl_alg1_deterministic_in_seed():
 
 def test_rl_alg1_quadratic_family_needs_three_controls():
     with pytest.raises(ConfigError):
-        RlAlg1Controller(_alg1_config(model_family="quadratic"), control_dim=2, output_dim=2)
+        RlAlg1Controller(Y_STAR, control_dim=2, output_dim=2, model_family="quadratic", **ALG1)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +238,13 @@ def test_rl_alg1_quadratic_family_needs_three_controls():
 
 
 def test_oape_requires_learning_before_running():
-    ctrl = OapeController(_alg1_config(), control_dim=3, output_dim=2)
+    ctrl = OapeController(Y_STAR, control_dim=3, output_dim=2)
     with pytest.raises(ConfigError):
         ctrl.run_path(_cmp_process(), seed=0)
 
 
 def test_oape_noiseless_controls_exactly():
-    ctrl = OapeController(_alg1_config(offline_action_spread=2.0), control_dim=3, output_dim=2)
+    ctrl = OapeController(Y_STAR, control_dim=3, output_dim=2, offline_action_spread=2.0)
     ctrl.learn_offline(_cmp_process(noise=0.0), n_paths=3, seed=12)
     model = _cmp_process(noise=0.0)
     path = ctrl.run_path(model, seed=13)
@@ -258,43 +261,32 @@ def _arima_model(T=20):
 
 
 def test_pgs_requires_fitted_params():
-    cfg = ControllerConfig(y_star=90.0)
     with pytest.raises(ConfigError):
-        RlPgsController(cfg).run_path(_arima_model(), seed=0)
+        RlPgsController(y_star=90.0).run_path(_arima_model(), seed=0)
 
 
 def test_pgs_deterministic_in_seed():
     params = PgsDistributionParams(beta=-1.8, gamma=1.0, variance_form="time_linear")
     paths = []
     for _ in range(2):
-        cfg = ControllerConfig(y_star=90.0, eta=0.2, alpha_step=0.05,
+        ctrl = RlPgsController(params, y_star=90.0, eta=0.2, alpha_step=0.05,
                                max_inner_iters=20, guard_bound=1000.0)
         model = _arima_model()
         model.reset(9)
-        paths.append(RlPgsController(cfg, params=params).run_path(model, seed=9))
+        paths.append(ctrl.run_path(model, seed=9))
+        assert ctrl.diagnostics["inner_iterations"]
     np.testing.assert_array_equal(paths[0].u, paths[1].u)
     np.testing.assert_array_equal(paths[0].y, paths[1].y)
 
 
-def test_pgs_appends_run_to_offline_store():
-    params = PgsDistributionParams(beta=-1.8, gamma=1.0)
-    cfg = ControllerConfig(y_star=90.0, eta=0.2, guard_bound=1000.0)
-    ctrl = RlPgsController(cfg, params=params)
-    model = _arima_model()
-    model.reset(4)
-    ctrl.run_path(model, seed=4)
-    assert len(ctrl.offline_store) == 1
-    assert ctrl.diagnostics["inner_iterations"]
-
-
 def test_pgs_aborts_after_five_failed_halvings():
     params = PgsDistributionParams(beta=-1.8, gamma=1.0)
-    cfg = ControllerConfig(y_star=90.0, eta=1e-9, alpha_step=1e6,
+    ctrl = RlPgsController(params, y_star=90.0, eta=1e-9, alpha_step=1e6,
                            guard_bound=1e-3, max_inner_iters=20)
     model = _arima_model()
     model.reset(5)
     with pytest.raises(PeriodAbortError):
-        RlPgsController(cfg, params=params).run_path(model, seed=5)
+        ctrl.run_path(model, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +298,8 @@ def test_pgs_aborts_after_five_failed_halvings():
     "make_controller",
     [
         lambda: GhrController(b=-1.8, y_star=90.0, a_init=91.7),
-        lambda: RlPgsController(ControllerConfig(y_star=90.0, eta=0.2, guard_bound=1000.0),
-                                params=PgsDistributionParams(beta=-1.8, gamma=1.0)),
+        lambda: RlPgsController(PgsDistributionParams(beta=-1.8, gamma=1.0),
+                                y_star=90.0, eta=0.2, guard_bound=1000.0),
     ],
     ids=["ghr", "pgs"],
 )
@@ -327,7 +319,7 @@ def test_arima_path_records_the_committed_disturbance(make_controller):
 def test_controller_factory_builds_every_kind():
     model = _cmp_process()
     assert isinstance(controller_from_config({"kind": "null"}, model, Y_STAR), NullController)
-    assert isinstance(controller_from_config({"kind": "random"}, model, Y_STAR), RandomActionController)
+    assert isinstance(controller_from_config({"kind": "oracle"}, model, Y_STAR), LinearOracleController)
     assert isinstance(controller_from_config({"kind": "ewma"}, model, Y_STAR), EwmaController)
     assert isinstance(controller_from_config({"kind": "rl_alg1"}, model, Y_STAR), RlAlg1Controller)
     assert isinstance(controller_from_config({"kind": "oape"}, model, Y_STAR), OapeController)
@@ -336,8 +328,40 @@ def test_controller_factory_builds_every_kind():
     assert isinstance(controller_from_config({"kind": "rl_pgs"}, arima, 90.0), RlPgsController)
 
 
-@pytest.mark.parametrize("cfg", [{"kind": "pid"}, {"kind": "ewma", "lamda_ewma": 0.7}],
-                         ids=["unknown_kind", "misspelt_key"])
-def test_controller_factory_rejects_unknown_kind(cfg):
+def _preset_process(name):
+    raw = load_preset(name)
+    return process_from_config(raw["process"]), raw["y_star"]
+
+
+@pytest.mark.parametrize("preset", sorted(f.name[:-5] for f in resources.files("r2rcontrol.configs").iterdir()
+                                          if f.name.endswith(".json")))
+def test_every_preset_builds_its_process_and_controller(preset):
+    model, y_star = _preset_process(preset)
+    controller_from_config(load_preset(preset)["controller"], model, y_star)
+
+
+@pytest.mark.parametrize("preset, cfg", [
+    ("cmp_ewma", {"kind": "pid"}),
+    ("cmp_ewma", {"kind": "random"}),
+    ("cmp_ewma", {"kind": [1]}),
+    ("cmp_ewma", {"kind": "ewma", "lamda_ewma": 0.7}),
+    ("arima_ghr", {"kind": "ghr", "lambda_ewma": 0.7}),
+    ("cmp_oape", {"kind": "oape", "epsilon": 1.0}),
+    ("arima_pgs", {"kind": "rl_pgs", "model_family": "linear"}),
+    ("cmp_ewma", {"kind": "ewma", "a_init": [0.0, 0.0]}),
+    ("arima_pgs", {"kind": "rl_pgs", "params": None}),
+    ("cmp_rl", {"kind": "rl_alg1", "control_dim": 3}),
+], ids=["unknown_kind", "random_kind", "unhashable_kind", "misspelt_key", "ghr_lambda_ewma", "oape_epsilon",
+        "pgs_model_family", "ewma_a_init", "pgs_params", "rl_control_dim"])
+def test_controller_factory_rejects_unknown_kind(preset, cfg):
     with pytest.raises(ConfigError):
-        controller_from_config(cfg, _cmp_process(), Y_STAR)
+        controller_from_config(cfg, *_preset_process(preset))
+
+
+@pytest.mark.parametrize("preset, kind", [
+    ("cmp_ewma", "ghr"), ("arima_ghr", "ewma"), ("arima_ghr", "oracle"), ("wiener_null", "ghr"),
+])
+def test_kind_that_cannot_control_the_process_family_is_config_error(preset, kind):
+    model, y_star = _preset_process(preset)
+    with pytest.raises(ConfigError, match=f"'{kind}' cannot control process family '{model.family}'"):
+        controller_from_config({"kind": kind}, model, y_star)
