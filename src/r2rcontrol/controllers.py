@@ -31,15 +31,25 @@ from .rng import derive_int_seed, make_rng
 log = logging.getLogger(__name__)
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _positive(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not value > 0:
         raise ConfigError(f"{name} must be positive, got {value!r}")
     return value
 
 
 def _at_least_one(name: str, value) -> int:
-    value = operator.index(value)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value!r}")
     return value
@@ -135,7 +145,7 @@ class EwmaController(Controller):
         if np.linalg.matrix_rank(self.B) < self.B.shape[0]:
             raise ConfigError("gain matrix has no right inverse")
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-        self.lam = float(lambda_ewma)
+        self.lam = _number("lambda_ewma", lambda_ewma)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda_ewma must lie in [0, 1]")
         self.a_init = None if a_init is None else np.atleast_1d(np.asarray(a_init, dtype=float))
@@ -166,8 +176,8 @@ class GhrController(Controller):
             raise ConfigError("process gain b must be nonzero")
         self.b = float(b)
         self.y_star = float(np.atleast_1d(y_star)[0])
-        self.c = float(ghr_c)
-        self.s = float(ghr_s)
+        self.c = _number("ghr_c", ghr_c)
+        self.s = _number("ghr_s", ghr_s)
         self.a_init = float(a_init)
 
     def reset(self, model, seed):
@@ -215,31 +225,35 @@ class _PooledFit:
         return theta, ridged
 
 
+def _quad_residual(theta: np.ndarray, y_star: np.ndarray, t: int, u: np.ndarray):
+    """Target miss r of the fitted quadratic family at ``u`` and its transposed Jacobian dr/du (3 x m_y)."""
+    f = QuadraticCmpProcess.quad_features(u)
+    x = np.concatenate([f, [float(t)]])
+    r = x @ theta - y_star
+    # gradient of features wrt u
+    u1, u2, u3 = u
+    jac_f = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [2 * u1, 0.0, 0.0],
+            [0.0, 2 * u2, 0.0],
+            [0.0, 0.0, 2 * u3],
+            [u2, u1, 0.0],
+            [u3, 0.0, u1],
+            [0.0, u3, u2],
+        ]
+    )
+    return r, jac_f.T @ theta[:-1]
+
+
 def _quad_objective(theta: np.ndarray, y_star: np.ndarray, t: int):
     """Squared target miss of the fitted quadratic family and its gradient."""
 
     def fun(u):
-        f = QuadraticCmpProcess.quad_features(u)
-        x = np.concatenate([f, [float(t)]])
-        pred = x @ theta
-        r = pred - y_star
-        # gradient of features wrt u
-        u1, u2, u3 = u
-        jac_f = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [2 * u1, 0.0, 0.0],
-                [0.0, 2 * u2, 0.0],
-                [0.0, 0.0, 2 * u3],
-                [u2, u1, 0.0],
-                [u3, 0.0, u1],
-                [0.0, u3, u2],
-            ]
-        )
-        jac_pred = jac_f.T @ theta[:-1]  # (3, m_y)
+        r, jac_pred = _quad_residual(theta, y_star, t, u)
         return float(r @ r), 2.0 * jac_pred @ r
 
     return fun
@@ -256,6 +270,25 @@ _QUAD_STENCIL = np.array(
     ]
 )
 
+# residual evaluations the projected Gauss-Newton fast path may spend
+_GAUSS_NEWTON_ITERS = 20
+# a squared miss this small is an exact hit: no start or step can do better
+_EXACT_MISS = 1e-12
+
+
+def _quad_gauss_newton(theta, y_star, t, u, lo, hi) -> np.ndarray | None:
+    """Projected minimum-norm Gauss-Newton from ``u``; the action if it hits y* exactly, else None."""
+    for _ in range(_GAUSS_NEWTON_ITERS):
+        r, jac_t = _quad_residual(theta, y_star, t, u)
+        if r @ r <= _EXACT_MISS:
+            return u
+        try:
+            step = jac_t @ np.linalg.solve(jac_t.T @ jac_t, r)
+        except np.linalg.LinAlgError:
+            return None
+        u = np.clip(u - step, lo, hi)
+    return None
+
 
 def rl_alg1_action_optimize(
     theta: np.ndarray,
@@ -267,9 +300,17 @@ def rl_alg1_action_optimize(
 ) -> np.ndarray:
     """Minimize the fitted model's squared target miss over the action box.
 
-    Linear family: closed-form minimum-norm solve; quadratic family:
-    bounded L-BFGS from a warm start plus a fixed multistart stencil with
-    first-found tie-breaking.
+    Linear family: closed-form minimum-norm solve, clipped to the box.
+
+    Quadratic family: the fitted model has more actions than outputs, so
+    its exact hits generically form a curve.  The fast path starts from the
+    clipped warm start (the stencil's origin without one) and takes up to
+    ``_GAUSS_NEWTON_ITERS`` projected minimum-norm Gauss-Newton steps
+    u <- clip(u - J^T (J J^T)^-1 r); it returns the first iterate whose
+    squared miss is at most ``_EXACT_MISS``.  If it does not get there (a
+    singular J J^T, the iteration cap, or no exact hit inside the box), a
+    bounded L-BFGS multistart from the same start and a fixed stencil
+    minimizes the miss, with first-found tie-breaking.
     """
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     lo, hi = bounds
@@ -286,11 +327,14 @@ def rl_alg1_action_optimize(
         u, *_ = np.linalg.lstsq(B_hat, rhs, rcond=None)
         return np.clip(u, lo, hi)
     if model_family == "quadratic":
-        fun = _quad_objective(theta, y_star, t)
         starts = []
         if warm_start is not None:
             starts.append(np.clip(np.asarray(warm_start, dtype=float), lo, hi))
         starts.extend(np.clip(_QUAD_STENCIL, lo, hi))
+        u = _quad_gauss_newton(theta, y_star, t, starts[0], lo, hi)
+        if u is not None:
+            return u
+        fun = _quad_objective(theta, y_star, t)
         best_u, best_val = None, np.inf
         box = [(lo, hi)] * 3
         for x0 in starts:
@@ -299,7 +343,7 @@ def rl_alg1_action_optimize(
                 best_val = res.fun
                 best_u = res.x
             # the objective is a sum of squares: no later start can beat this
-            if best_val <= 1e-12:
+            if best_val <= _EXACT_MISS:
                 break
         return np.asarray(best_u)
     raise ConfigError(f"unknown model family {model_family!r}")
@@ -322,8 +366,10 @@ class _ModelFitController(Controller):
         self.control_dim = control_dim
         self.output_dim = output_dim
         self.model_family = model_family
-        self.action_low = float(action_low)
-        self.action_high = float(action_high)
+        self.action_low = _number("action_low", action_low)
+        self.action_high = _number("action_high", action_high)
+        if not self.action_low < self.action_high:
+            raise ConfigError(f"action_low {self.action_low!r} must be below action_high {self.action_high!r}")
         if model_family == "linear":
             self._features = _linear_features
             self.n_features = control_dim + 2
@@ -455,7 +501,7 @@ class RlPgsController(Controller):
                  alpha_step: float = 0.05, eta: float = 1.0, max_inner_iters: int = 20, guard_bound: float = 1e6,
                  n_offline_paths: int = 100, offline_action_spread: float = 1.0):
         if variance_form not in VARIANCE_FORMS:
-            raise ConfigError(f"unknown variance form {variance_form!r}")
+            raise ConfigError(f"variance_form must be one of {VARIANCE_FORMS}, got {variance_form!r}")
         self.params = params
         self.y_star = float(np.atleast_1d(y_star)[0])
         self.variance_form = variance_form

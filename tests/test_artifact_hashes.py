@@ -63,7 +63,7 @@ EXPECTED = {
     "gamma_null/boxplot.csv": "b237a36da6c6ebf11e28b86c3de60d10c75217e90e92563e85d1bfb2b5310a97",
     "gamma_null/paths.csv": "cdc941baadbc4ccce1fea58c65a7458de8d857f150d7bce155f5cc9a8ba6646f",
     "gamma_null/summary.json": "a3918f59a18940330c79298aec650dcb828b4f4047fc0ca92a5d7a9e45477e46",
-    "quadratic/quadratic_error_ratios.json": "03a33255dad4cbf7327929465e5ce397738df2328173eb07cff455fbaac81c58",
+    "quadratic/quadratic_error_ratios.json": "68835f503cf0ed60b612f455adf1298c8672ec0de4c01cf69bbdad37671bc551",
     "wiener_null/audit/0.json": "d1c683af442710540e7e902559c568d42c1196ef023176a31e779afd91fdc060",
     "wiener_null/audit/1.json": "92cc25363ec6b2f921773a91c1a9faf5bbea1734e74b6624750a5c6961e997bf",
     "wiener_null/audit/2.json": "e6f140858bf1a4cd3c47fb454b4b692c33ddd8ee4119a18cb14f6b6209893066",

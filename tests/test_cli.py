@@ -100,6 +100,8 @@ MALFORMED = [
     ("cmp_rl", "controller.explore_scale=-1"),
     ("cmp_rl", 'controller.action_low="x"'),
     ("cmp_rl", "controller.max_inner_iters=2.5"),
+    ("cmp_rl", "controller.action_low=5000"),
+    ("cmp_oape", "controller.action_high=-1000"),
     ("arima_pgs", 'controller.n_offline_paths="many"'),
     ("arima_pgs", "controller.guard_bound=null"),
     ("arima_pgs", 'controller.variance_form="cubic"'),
@@ -118,7 +120,11 @@ def test_malformed_override_is_config_error(preset, override, config_file, tmp_p
     rc = main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--replications", "1",
                "--set", override])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if override.startswith("controller."):
+        # the message names the controller key that was bad
+        assert override[len("controller."):].split("=")[0] in err
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{not json", '"a string"'], ids=["list", "invalid_json", "string"])

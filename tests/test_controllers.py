@@ -24,6 +24,7 @@ from r2rcontrol.processes import (
     ArimaProcessParams,
     LinearCmpParams,
     LinearCmpProcess,
+    QuadraticCmpProcess,
     process_from_config,
     simulate_path,
 )
@@ -177,6 +178,55 @@ def test_quadratic_optimizer_beats_random_search():
         cand = rng.uniform(-3.0, 3.0, size=(2000, 3))
         rand_best = min(fun(c)[0] for c in cand)
         assert best <= rand_best + 1e-8
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    """Count the L-BFGS-B starts of the quadratic optimizer's fallback."""
+    from r2rcontrol import controllers
+
+    calls = []
+    minimize = controllers.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(controllers.optimize, "minimize", counting)
+    return calls
+
+
+def test_quadratic_fast_path_hits_reachable_target_without_minimize(minimize_calls):
+    from r2rcontrol.controllers import _quad_objective
+
+    rng = make_rng(43, tag="quad-fast")
+    for _ in range(20):
+        theta = rng.normal(0, 1.0, size=(11, 2))
+        theta[4:7] += 1.0
+        u_star = rng.uniform(-2.5, 2.5, size=3)
+        y_star = np.concatenate([QuadraticCmpProcess.quad_features(u_star), [3.0]]) @ theta
+        warm = u_star + rng.normal(0, 0.3, size=3)
+        u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic",
+                                    bounds=(-3.0, 3.0), warm_start=warm)
+        assert np.all((u >= -3.0) & (u <= 3.0))
+        assert _quad_objective(theta, y_star, 3)(u)[0] <= 1e-12
+    assert minimize_calls == []
+
+
+def test_quadratic_unreachable_target_falls_back_to_multistart(minimize_calls):
+    from r2rcontrol.controllers import _quad_objective
+
+    rng = make_rng(44, tag="quad-fallback")
+    theta = rng.normal(0, 1.0, size=(11, 2))
+    theta[4:7] += 1.0
+    y_star = np.array([500.0, -500.0])  # |prediction| stays far below 500 on [-3, 3]^3
+    u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic",
+                                bounds=(-3.0, 3.0), warm_start=np.zeros(3))
+    assert len(minimize_calls) > 0
+    assert np.all((u >= -3.0) & (u <= 3.0))
+    fun = _quad_objective(theta, y_star, 3)
+    cand = rng.uniform(-3.0, 3.0, size=(10_000, 3))
+    assert fun(u)[0] <= min(fun(c)[0] for c in cand) + 1e-8
 
 
 # ---------------------------------------------------------------------------
