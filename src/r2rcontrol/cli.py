@@ -105,8 +105,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             report = run_experiment(_load_config(args)).to_dict()
         elif args.command in PRESETS:
-            sizes = {} if args.replications is None else {"replications": args.replications}
-            report = PRESETS[args.command][0](seed, out_dir=out, threads=args.threads or 1, **sizes)
+            flags = {"replications": args.replications, "threads": args.threads}
+            report = PRESETS[args.command][0](
+                seed, out_dir=out, **{k: v for k, v in flags.items() if v is not None}
+            )
         else:  # theory-check
             report = experiments.theory_check(seed, out_dir=out)
         print(json.dumps(report, indent=2))

@@ -8,11 +8,15 @@ gradient search controller driven by a fitted output distribution.
 Every policy subclasses :class:`Controller`.  ``prepare`` does any
 offline learning for one replication and returns how many online paths
 that replication runs; ``run_path`` runs one path on a freshly reset
-process.  A policy only chooses actions: ``reset`` sets up per-path
-state and ``act`` calls ``model.step`` once or, for controllers that
-iterate trial actions, several times per period.  ``Controller.run_path``
-is the one path loop: it commits the last trial of each period and
-records the committed action, output and disturbance.
+process.  A policy only chooses actions, in one of two ways.  A policy
+whose actions do not depend on the outputs (no control, random actions,
+the known-model oracle) returns all T of them from
+``open_loop_actions``, and ``run_path`` hands them to
+``ProcessModel.run_open_loop``.  A feedback policy implements ``reset``,
+which sets up per-path state, and ``act``, which calls ``model.step``
+once or, for controllers that iterate trial actions, several times per
+period; ``run_path`` commits the last trial of each period and records
+the committed action, output and disturbance.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ class Controller:
         """Do any offline learning; return how many online paths the replication runs."""
         return n_learning_paths
 
+    def open_loop_actions(self, model: ProcessModel, seed: int) -> np.ndarray | None:
+        """All (T, m_u) actions of the path when they do not depend on its outputs, else None."""
+        return None
+
     def reset(self, model: ProcessModel, seed: int) -> None:
         """Set up per-path state before period 1."""
 
@@ -77,6 +85,10 @@ class Controller:
 
     def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
         """One T-period trajectory on a model already reset to ``seed``."""
+        u = self.open_loop_actions(model, seed)
+        if u is not None:
+            y, d = model.run_open_loop(u)
+            return SamplePath(u=u, y=y, d=d, y0=model.y0, seed=seed)
         self.reset(model, seed)
         us, ys, ds = [], [], []
         for t in range(1, model.T + 1):
@@ -91,8 +103,8 @@ class Controller:
 class NullController(Controller):
     """u = 0 every period (the no-control baseline)."""
 
-    def act(self, model, t):
-        model.step(np.zeros(model.control_dim), t)
+    def open_loop_actions(self, model, seed):
+        return np.zeros((model.T, model.control_dim))
 
 
 class LinearOracleController(Controller):
@@ -104,10 +116,12 @@ class LinearOracleController(Controller):
         self.delta = np.atleast_1d(np.asarray(delta, dtype=float))
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
 
-    def act(self, model, t):
-        rhs = self.y_star - self.A - self.delta * t
-        u, *_ = np.linalg.lstsq(self.B, rhs, rcond=None)
-        model.step(u, t)
+    def open_loop_actions(self, model, seed):
+        # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit
+        return np.array([
+            np.linalg.lstsq(self.B, self.y_star - self.A - self.delta * t, rcond=None)[0]
+            for t in range(1, model.T + 1)
+        ])
 
 
 class RandomActionController(Controller):
@@ -117,11 +131,9 @@ class RandomActionController(Controller):
         self.spread = float(spread)
         self.tag = tag
 
-    def reset(self, model, seed):
-        self._rng = make_rng(seed, tag=self.tag)
-
-    def act(self, model, t):
-        model.step(self._rng.normal(0.0, self.spread, size=model.control_dim), t)
+    def open_loop_actions(self, model, seed):
+        # one draw of all T periods equals T draws of size m_u from the same stream
+        return make_rng(seed, tag=self.tag).normal(0.0, self.spread, size=(model.T, model.control_dim))
 
 
 def random_action_paths(model: ProcessModel, n: int, seed: int, spread: float, tag: str) -> list[SamplePath]:

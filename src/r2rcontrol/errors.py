@@ -9,6 +9,10 @@ class DimensionError(R2RError):
     """Vector or matrix sizes do not agree with the process/controller."""
 
 
+class NonFiniteActionError(R2RError):
+    """An action entry is NaN or infinite."""
+
+
 class HorizonError(R2RError):
     """Period index outside the configured horizon."""
 

@@ -98,8 +98,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        if self.replications < 1 or self.n_learning_paths < 1:
-            raise ConfigError("replications and n_learning_paths must be >= 1")
+        for name in ("replications", "n_learning_paths", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:
             y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float))
             if not np.all(np.isfinite(y_star)):  # null becomes nan
@@ -192,7 +193,7 @@ def _worker(args) -> tuple[int, RunResult]:
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
     """All replications; the results do not depend on ``threads``."""
     reps = range(config.replications)
-    if config.threads and config.threads > 1:
+    if config.threads > 1:
         cfg_dict = asdict(config)
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = dict(pool.map(_worker, [(cfg_dict, r) for r in reps]))

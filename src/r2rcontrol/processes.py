@@ -3,10 +3,13 @@
 Each simulator is a single-threaded state machine over integer periods
 t = 1..T.  ``step(u, t)`` draws the period-t output from the committed
 state at t-1 without advancing; ``commit()`` promotes the most recent
-draw to the committed state.  A controller's ``act`` calls ``step`` once
-or, to try several actions within one period, repeatedly;
+draw to the committed state.  A feedback controller's ``act`` calls
+``step`` once or, to try several actions within one period, repeatedly;
 ``Controller.run_path`` then calls ``commit`` once per period and records
-the committed action, output and (ARIMA only) disturbance.
+the committed action, output and (ARIMA only) disturbance.  A path whose
+actions are fixed before period 1 (no control, random or oracle actions)
+goes through ``run_open_loop`` instead: it draws the whole path's noise
+at once and gives the same bits as the per-period loop.
 
 Families:
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, HorizonError
+from .errors import ConfigError, DimensionError, HorizonError, NonFiniteActionError
 from .rng import make_rng
 
 DEFAULT_CONTROL_GAIN = -1.0
@@ -203,7 +206,7 @@ class ProcessModel:
                 f"action has length {u.shape[0]}, process expects {self.control_dim}"
             )
         if not np.all(np.isfinite(u)):
-            raise DimensionError("action entries must be finite")
+            raise NonFiniteActionError(f"action at period {t} is not finite: {u}")
         if not 1 <= t <= self.T:
             raise HorizonError(f"period {t} outside horizon 1..{self.T}")
         if t != self.period + 1:
@@ -231,9 +234,41 @@ class ProcessModel:
         self._pending = None
         return y
 
+    def run_open_loop(self, u) -> tuple[np.ndarray, np.ndarray | None]:
+        """Run periods 1..T under actions fixed in advance, ``u`` of shape (T, m_u).
+
+        Starts from the state ``reset`` left.  The family draws the whole
+        path's noise in one call and keeps ``_draw``'s per-period
+        arithmetic, so the outputs equal a ``step``/``commit`` loop's bit
+        for bit, and the model is left committed at period T as that loop
+        leaves it.  Returns the (T, m_y) outputs and the (T,) disturbances,
+        None for a family without them.
+        """
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.T, self.control_dim):
+            raise DimensionError(
+                f"open-loop actions have shape {u.shape}, process expects {(self.T, self.control_dim)}"
+            )
+        finite = np.isfinite(u).all(axis=1)
+        if not finite.all():
+            t = int(np.argmin(finite)) + 1
+            raise NonFiniteActionError(f"action at period {t} is not finite: {u[t - 1]}")
+        if self.period != 0 or self._pending is not None:
+            raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
+        y, d, state = self._draw_path(u)
+        self.period = self.T
+        self.y_committed = y[-1].copy()
+        self.u_committed = u[-1].copy()
+        self._commit_state(state)
+        return y, d
+
     # family-specific -------------------------------------------------------
 
     def _draw(self, u: np.ndarray, t: int):
+        raise NotImplementedError
+
+    def _draw_path(self, u: np.ndarray):
+        """(outputs, disturbances or None, last period's state) of a whole open-loop path."""
         raise NotImplementedError
 
     def _commit_state(self, state) -> None:
@@ -264,6 +299,13 @@ class LinearCmpProcess(ProcessModel):
         y = p.A + p.B @ u + p.delta * t + w
         return y, None
 
+    def _draw_path(self, u):
+        p = self.params
+        z = self._rng.standard_normal((self.T, self.output_dim))
+        # row by row: a batched U @ B.T is a GEMM and may differ in the last bit
+        y = [p.A + p.B @ u[t - 1] + p.delta * t + self._noise_factor @ z[t - 1] for t in range(1, self.T + 1)]
+        return np.array(y), None, None
+
 
 class ArimaProcess(ProcessModel):
     """Scalar linear process with ARIMA(1,1,1) disturbance.
@@ -292,6 +334,18 @@ class ArimaProcess(ProcessModel):
         d = self._d + dd
         y = np.array([p.a + p.b * u[0] + d])
         return y, (d, dd, w)
+
+    def _draw_path(self, u):
+        p = self.params
+        d, dd, w_prev = self._d, self._dd, self._w
+        ds = []
+        for w in self._rng.normal(0.0, p.sigma, size=self.T).tolist():
+            dd = p.phi * dd + w - p.theta * w_prev
+            d = d + dd
+            ds.append(d)
+            w_prev = w
+        ds = np.array(ds)
+        return (p.a + p.b * u[:, 0] + ds)[:, None], ds, (d, dd, w_prev)
 
     def _commit_state(self, state):
         self._d, self._dd, self._w = state
@@ -332,8 +386,44 @@ class QuadraticCmpProcess(ProcessModel):
         eps = self._rng.standard_normal(2) * np.array([p.noise1, p.noise2])
         return self.mean_response(u, t) + eps, None
 
+    def _draw_path(self, u):
+        p = self.params
+        eps = self._rng.standard_normal((self.T, 2)) * np.array([p.noise1, p.noise2])
+        y = [self.mean_response(u[t - 1], t) + eps[t - 1] for t in range(1, self.T + 1)]
+        return np.array(y), None, None
 
-class WienerProcess(ProcessModel):
+
+class _AdditiveControlProcess(ProcessModel):
+    """Scalar output with drawn increments and an additive control channel:
+    y_t = y_{t-1} + inc_t + control_gain*(u_t - u_{t-1}).
+    """
+
+    control_dim = 1
+    output_dim = 1
+
+    def __init__(self, params):
+        self.params = params
+        super().__init__(params.T, params.y0)
+
+    def _increments(self, size=None):
+        """One increment (``size=None``) or an array of ``size``, from the same stream."""
+        raise NotImplementedError
+
+    def _draw(self, u, t):
+        y = self.y_committed + self._increments() + self.params.control_gain * (u - self.u_committed)
+        return y, None
+
+    def _draw_path(self, u):
+        shift = self.params.control_gain * np.diff(u[:, 0], prepend=self.u_committed[0])
+        y = float(self.y_committed[0])
+        ys = []
+        for inc, c in zip(self._increments(self.T).tolist(), shift.tolist()):
+            y = y + inc + c
+            ys.append(y)
+        return np.array(ys)[:, None], None, None
+
+
+class WienerProcess(_AdditiveControlProcess):
     """Random drift process y_t = y_0 + v t + sigma B(t).
 
     Control shifts the observed increment additively:
@@ -341,21 +431,13 @@ class WienerProcess(ProcessModel):
     """
 
     family = "wiener"
-    control_dim = 1
-    output_dim = 1
 
-    def __init__(self, params: WienerParams):
-        self.params = params
-        super().__init__(params.T, params.y0)
-
-    def _draw(self, u, t):
+    def _increments(self, size=None):
         p = self.params
-        inc = p.v + p.sigma * self._rng.standard_normal()
-        y = self.y_committed + inc + p.control_gain * (u - self.u_committed)
-        return y, None
+        return p.v + p.sigma * self._rng.standard_normal(size)
 
 
-class GammaProcess(ProcessModel):
+class GammaProcess(_AdditiveControlProcess):
     """Monotone degradation with gamma-distributed increments.
 
     Uncontrolled increments are Gamma(alpha, scale); control shifts the
@@ -363,18 +445,10 @@ class GammaProcess(ProcessModel):
     """
 
     family = "gamma"
-    control_dim = 1
-    output_dim = 1
 
-    def __init__(self, params: GammaParams):
-        self.params = params
-        super().__init__(params.T, params.y0)
-
-    def _draw(self, u, t):
+    def _increments(self, size=None):
         p = self.params
-        inc = self._rng.gamma(p.alpha, p.scale)
-        y = self.y_committed + inc + p.control_gain * (u - self.u_committed)
-        return y, None
+        return self._rng.gamma(p.alpha, p.scale, size)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ from r2rcontrol.harness import run_experiment
 
 SEED = 20260826
 PRESETS = ("cmp_rl", "cmp_oape", "cmp_ewma", "arima_ghr", "wiener_null", "gamma_null", "arima_pgs", "wiener_pgs")
+# open-loop controllers on a preset's process: output name -> (preset, controller)
+SWAPPED = {
+    "cmp_oracle": ("cmp_ewma", {"kind": "oracle"}),
+    "arima_null": ("arima_ghr", {"kind": "null"}),  # fills the d column
+}
 
 EXPECTED = {
     "arima_ghr/audit/0.json": "38c87853a501ccac6c6648ca114884bc7749423c00a3a373ed648ac62a7dc0b8",
@@ -28,6 +33,12 @@ EXPECTED = {
     "arima_ghr/boxplot.csv": "1ae946dbd2716a2d6101e66597aed83d238c2245de52c665dd002f1859e89a1d",
     "arima_ghr/paths.csv": "b096bc0e8aa9187254dcb494d64441d03a8a95584479edc85f187293cdf0b6b6",
     "arima_ghr/summary.json": "b188419645e51399fce22050d2f25cebdb24450483bf346019ae1424f618c4b9",
+    "arima_null/audit/0.json": "30db0a1030c4425f569c38a5f273e6a4176aac780cdd8a02a85769efe46429ea",
+    "arima_null/audit/1.json": "d507676fddb95d314c4b31a26c81b1d1973b863469f0ffb6887c90216557df1b",
+    "arima_null/audit/2.json": "20c2313264b6b828f07f002a1ee077a98381242929486c0552a5db71e3925172",
+    "arima_null/boxplot.csv": "51886e85ad1e49a6d654cec48deac3d857de5477a70a7e7f02cfa6e4f98275ab",
+    "arima_null/paths.csv": "62b2761e18e7d52a0af7b1738529599fdf097f48e53da2f3343651d8e31d20df",
+    "arima_null/summary.json": "48eaee285647a308189962bb00e47de2d0510f75eb7cf8b766d038cd6435fd91",
     "arima_pgs/audit/0.json": "d31edf661ad22cc7207d90cd513c30af8dd34b7baa8a227bfba88bccedfd7d6a",
     "arima_pgs/audit/1.json": "92c55821a49ae156c2dc419c8cbf9443e8631683b0ca69ef7bc742a65a2c9f63",
     "arima_pgs/audit/2.json": "f2c7a69238b5b1b9df0642b877d9e0578717b44092ce9343bf100aac6899a53a",
@@ -46,6 +57,12 @@ EXPECTED = {
     "cmp_oape/boxplot.csv": "62db38420f488902eba5cb0e7f075cea7f4cbe1ebcb985d9537043137cc923de",
     "cmp_oape/paths.csv": "299937911fb3f36ba873dcea3741ac66ca072e1b458641fa04caa125032b6740",
     "cmp_oape/summary.json": "9869159e81e68d6644fd5404e54e6294b67d6bbc6b927a4defa6f41b0dbbac9a",
+    "cmp_oracle/audit/0.json": "c4f98f98a9570ee85051205731830c6adcc92ee0168aa3bbbfc8a37efaf90b28",
+    "cmp_oracle/audit/1.json": "53256f17409e54b2d112dbf7fd7a9af38c4c24bd3e66c3a2abe91d4a38029354",
+    "cmp_oracle/audit/2.json": "f586ad9190e42f5b4536cc51f58e700a7c782596af70019fb55b3e5a4df10b40",
+    "cmp_oracle/boxplot.csv": "bc7923f9b93371b353c81ed0cc53894f103fccd5188e5f8fdfb727da1a4d12cf",
+    "cmp_oracle/paths.csv": "1b07e13c92597e3304f361bdbaf8f7c1ca0b7d4935dc71c0a6107586bfda3045",
+    "cmp_oracle/summary.json": "93e14e18e62735f3d2785baf8f6f5028795355f45ba4261f1196560768245352",
     "cmp_rl/audit/0.json": "93334ff4ff8449367015cef916636f8c3721d1ce48095bebdde690623cf7a375",
     "cmp_rl/audit/1.json": "383ae300780a44da9171da2c4233acc63375fd3e39af04553a992392442525b2",
     "cmp_rl/audit/2.json": "330ec78239f1442576e39cfd25e74b5d8d96962e752a6af51d6cca38706e4246",
@@ -80,10 +97,12 @@ EXPECTED = {
 
 
 def write_artifacts(root) -> dict:
-    for name in PRESETS:
-        n_paths = min(preset_config(name).n_learning_paths, 4)
-        run_experiment(preset_config(name, replications=3, n_learning_paths=n_paths,
-                                     output_dir=str(root / name)))
+    runs = [(name, name, {}) for name in PRESETS]
+    runs += [(name, preset, {"controller": ctl}) for name, (preset, ctl) in SWAPPED.items()]
+    for name, preset, swap in runs:
+        n_paths = min(preset_config(preset).n_learning_paths, 4)
+        run_experiment(preset_config(preset, replications=3, n_learning_paths=n_paths,
+                                     output_dir=str(root / name), **swap))
     figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2")
     figure5_experiment(SEED, replications=3, out_dir=root / "figure5")
     quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,

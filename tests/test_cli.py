@@ -181,6 +181,16 @@ def test_zero_replications_on_preset_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--config", str(resources.files("r2rcontrol.configs") / "wiener_null.json"),
+     "--replications", "1", "--threads", "-3"],
+    ["figure2", "--replications", "1", "--threads", "0"],
+], ids=["run", "preset"])
+def test_thread_count_below_one_is_config_error(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: threads must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["theory-check", "--threads", "2"],
     ["theory-check", "--replications", "5"],
     ["simulate", "--config", "exp.json"],

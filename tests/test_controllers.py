@@ -11,6 +11,7 @@ from r2rcontrol.controllers import (
     LinearOracleController,
     NullController,
     OapeController,
+    RandomActionController,
     RlAlg1Controller,
     RlPgsController,
     controller_from_config,
@@ -24,6 +25,7 @@ from r2rcontrol.processes import (
     ArimaProcessParams,
     LinearCmpParams,
     LinearCmpProcess,
+    ProcessModel,
     QuadraticCmpProcess,
     process_from_config,
     simulate_path,
@@ -337,6 +339,45 @@ def test_pgs_aborts_after_five_failed_halvings():
     model.reset(5)
     with pytest.raises(PeriodAbortError):
         ctrl.run_path(model, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# open-loop controllers
+# ---------------------------------------------------------------------------
+
+
+def test_random_actions_equal_per_period_draws():
+    model = _cmp_process()
+    path = simulate_path(model, RandomActionController(2.5, tag="offline-x"), seed=17)
+    rng = make_rng(17, tag="offline-x")
+    expected = np.array([rng.normal(0.0, 2.5, size=model.control_dim) for _ in range(model.T)])
+    assert path.u.tobytes() == expected.tobytes()
+
+
+def test_oracle_actions_are_the_per_period_minimum_norm_solves():
+    model = _cmp_process()
+    path = simulate_path(model, LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR), seed=3)
+    B, A, delta, y_star = (np.asarray(v, dtype=float) for v in (CMP["B"], CMP["A"], CMP["delta"], Y_STAR))
+    for t in range(1, model.T + 1):
+        u, *_ = np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)
+        assert path.u[t - 1].tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("controller", [
+    NullController(),
+    RandomActionController(1.5),
+    LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR),
+], ids=["null", "random", "oracle"])
+def test_open_loop_controllers_run_the_path_in_one_batch(controller, monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("an open-loop path went through the per-period loop")
+
+    monkeypatch.setattr(ProcessModel, "step", no_stepping)
+    monkeypatch.setattr(ProcessModel, "commit", no_stepping)
+    model = _cmp_process()
+    path = simulate_path(model, controller, seed=4)
+    assert path.u.shape == (30, 3) and path.y.shape == (30, 2)
+    assert model.period == 30
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from r2rcontrol.errors import ConfigError, DimensionError, HorizonError
+from r2rcontrol.errors import ConfigError, DimensionError, HorizonError, NonFiniteActionError
 from r2rcontrol.processes import (
     ArimaProcess,
     ArimaProcessParams,
@@ -20,6 +20,7 @@ from r2rcontrol.processes import (
     simulate_path,
 )
 from r2rcontrol.controllers import NullController, RandomActionController
+from r2rcontrol.rng import make_rng
 
 
 CMP_A = [-138.21, -627.32]
@@ -251,3 +252,73 @@ def test_random_policy_paths_are_finite_and_reproducible(seed, spread):
     assert np.array_equal(p1.y, p2.y)
     assert np.array_equal(p1.u, p2.u)
     assert np.all(np.isfinite(p1.y))
+
+
+# --- open-loop paths --------------------------------------------------------
+
+
+FAMILIES = {
+    "linear_cmp": lambda: LinearCmpProcess(cmp_params()),
+    "arima": lambda: ArimaProcess(arima_params()),
+    "quadratic_cmp": lambda: QuadraticCmpProcess(quad_params()),
+    "wiener": lambda: WienerProcess(WienerParams(y0=90.0, v=0.66, sigma=1.0, T=40)),
+    "gamma": lambda: GammaProcess(GammaParams(alpha=0.36, beta=0.64, y0=90.0, T=40)),
+}
+
+
+def _model_state(model) -> dict:
+    """Every attribute of the model but its parameters, its generator as the generator's state."""
+    return {k: v.bit_generator.state if k == "_rng" else v for k, v in vars(model).items() if k != "params"}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_open_loop_path_equals_step_commit_loop(family):
+    stepped, batched = FAMILIES[family](), FAMILIES[family]()
+    u = make_rng(5, tag="open-loop").normal(0.0, 2.0, size=(stepped.T, stepped.control_dim))
+    stepped.reset(31)
+    ys, ds = [], []
+    for t in range(1, stepped.T + 1):
+        stepped.step(u[t - 1], t)
+        ys.append(stepped.commit())
+        ds.append(stepped.last_disturbance)
+    batched.reset(31)
+    y, d = batched.run_open_loop(u)
+    assert y.tobytes() == np.array(ys).tobytes()
+    if family == "arima":
+        assert d.tobytes() == np.array(ds).tobytes()
+    else:
+        assert d is None
+    assert batched.period == stepped.period == stepped.T
+    assert batched.y_committed.tobytes() == stepped.y_committed.tobytes()
+    assert batched.u_committed.tobytes() == stepped.u_committed.tobytes()
+    # the ARIMA disturbance state and the generator's position as well
+    np.testing.assert_equal(_model_state(batched), _model_state(stepped))
+
+
+def test_open_loop_rejects_wrong_shape_and_a_stepped_model():
+    model = WienerProcess(WienerParams(y0=90.0, v=0.66, sigma=1.0, T=5))
+    model.reset(1)
+    for bad in (np.zeros((4, 1)), np.zeros((5, 2)), np.zeros(5)):
+        with pytest.raises(DimensionError):
+            model.run_open_loop(bad)
+    model.step(np.zeros(1), 1)  # a pending draw has moved the generator
+    with pytest.raises(HorizonError):
+        model.run_open_loop(np.zeros((5, 1)))
+    model.commit()
+    with pytest.raises(HorizonError):
+        model.run_open_loop(np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_action_is_its_own_error_naming_the_period(bad):
+    model = LinearCmpProcess(cmp_params())
+    model.reset(2)
+    model.step(np.zeros(4), 1)
+    model.commit()
+    with pytest.raises(NonFiniteActionError, match="action at period 2 is not finite"):
+        model.step(np.array([0.0, bad, 0.0, 0.0]), 2)
+    model.reset(2)
+    u = np.zeros((model.T, 4))
+    u[6, 1] = bad
+    with pytest.raises(NonFiniteActionError, match="action at period 7 is not finite"):
+        model.run_open_loop(u)
