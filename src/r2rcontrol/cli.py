@@ -100,6 +100,8 @@ def main(argv=None) -> int:
         print(__version__)
         return 0
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seed = args.seed if args.seed is not None else 20260826
         out = _out_dir(args)
         if args.command == "run":

@@ -241,8 +241,8 @@ def theory_check(
 
     bounds = []
     for i, cfg in enumerate(DEFAULT_BOUND_BATTERY):
-        for eta in (0.1, 0.5, 1.0):
-            rep = theorem2_bound_check(cfg, eta, n_bound_trials, derive_int_seed(seed, replication=i, tag="bound"))
+        seed_i = derive_int_seed(seed, replication=i, tag="bound")
+        for rep in theorem2_bound_check(cfg, (0.1, 0.5, 1.0), n_bound_trials, seed_i):
             entry = rep.to_dict()
             entry["config"] = cfg.name
             bounds.append(entry)

@@ -98,9 +98,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        for name in ("replications", "n_learning_paths", "threads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("replications", 1), ("n_learning_paths", 1), ("threads", 1), ("master_seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         try:
             y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float))
             if not np.all(np.isfinite(y_star)):  # null becomes nan

@@ -97,15 +97,15 @@ def analytic_bounds(moments: RatioMoments, eta: float) -> tuple[float, float]:
 
 
 def theorem2_bound_check(
-    config: BoundConfig, eta: float, n_trials: int, seed: int
-) -> BoundReport:
-    """Monte Carlo exceedance frequencies versus the analytic bounds.
+    config: BoundConfig, etas, n_trials: int, seed: int
+) -> list[BoundReport]:
+    """Monte Carlo exceedance frequencies versus the analytic bounds, one report per eta.
 
     Each trial redraws the observation noise on a fixed offline design,
     refits (b, c) by least squares, and forms the estimated optimal
     action u_hat = (y* - c_hat)/b_hat.  The action line checks
     |u_hat - u*| > eta; the output line checks the induced mean output
-    error |b (u_hat - u*)| > eta.
+    error |b (u_hat - u*)| > eta.  All thresholds share one draw.
     """
     rng = make_rng(seed, tag="theorem2")
     u = (rng.random(config.n_offline) - 0.5) * 2.0 * config.action_spread
@@ -118,16 +118,19 @@ def theorem2_bound_check(
     u_star = (config.y_star - config.c) / config.b
     err_action = np.abs(u_hat - u_star)
     err_output = np.abs(config.b) * err_action
-    bound_action, bound_output = analytic_bounds(moments, eta)
-    return BoundReport(
-        eta=eta,
-        bound_action=bound_action,
-        bound_output=bound_output,
-        empirical_freq_action=float(np.mean(err_action > eta)),
-        empirical_freq_output=float(np.mean(err_output > eta)),
-        n_trials=n_trials,
-        moments=moments,
-    )
+    reports = []
+    for eta in etas:
+        bound_action, bound_output = analytic_bounds(moments, eta)
+        reports.append(BoundReport(
+            eta=eta,
+            bound_action=bound_action,
+            bound_output=bound_output,
+            empirical_freq_action=float(np.mean(err_action > eta)),
+            empirical_freq_output=float(np.mean(err_output > eta)),
+            n_trials=n_trials,
+            moments=moments,
+        ))
+    return reports
 
 
 DEFAULT_BOUND_BATTERY: list[BoundConfig] = [

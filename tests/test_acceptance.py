@@ -133,12 +133,10 @@ def test_criterion4_estimator_rate(announce):
 def test_criterion5_control_error_bound_battery(announce):
     failures = []
     for i, cfg in enumerate(DEFAULT_BOUND_BATTERY):
-        for eta in (0.1, 0.5, 1.0):
-            rep = theorem2_bound_check(
-                cfg, eta, 10_000, derive_int_seed(SEED, replication=i, tag="bound")
-            )
+        seed_i = derive_int_seed(SEED, replication=i, tag="bound")
+        for rep in theorem2_bound_check(cfg, (0.1, 0.5, 1.0), 10_000, seed_i):
             if not rep.satisfied():
-                failures.append(f"{cfg.name}@eta={eta}")
+                failures.append(f"{cfg.name}@eta={rep.eta}")
     ok = not failures
     announce(
         "criterion 5 (exceedance-probability bound battery)",

@@ -15,6 +15,7 @@ from r2rcontrol.experiments import (
     figure5_experiment,
     preset_config,
     quadratic_error_ratio_experiment,
+    theory_check,
 )
 from r2rcontrol.harness import run_experiment
 
@@ -81,6 +82,8 @@ EXPECTED = {
     "gamma_null/paths.csv": "cdc941baadbc4ccce1fea58c65a7458de8d857f150d7bce155f5cc9a8ba6646f",
     "gamma_null/summary.json": "a3918f59a18940330c79298aec650dcb828b4f4047fc0ca92a5d7a9e45477e46",
     "quadratic/quadratic_error_ratios.json": "68835f503cf0ed60b612f455adf1298c8672ec0de4c01cf69bbdad37671bc551",
+    "theory/theory_grid.csv": "a0750b2239a1882ff3c643c40232dd99ea1efa6d1bc48c4264d477c19a3b3084",
+    "theory/theory_report.json": "1f4f2779964a95d297716c01a99b0774ebbbbab054e906ef97ecb0b9db11039b",
     "wiener_null/audit/0.json": "d1c683af442710540e7e902559c568d42c1196ef023176a31e779afd91fdc060",
     "wiener_null/audit/1.json": "92cc25363ec6b2f921773a91c1a9faf5bbea1734e74b6624750a5c6961e997bf",
     "wiener_null/audit/2.json": "e6f140858bf1a4cd3c47fb454b4b692c33ddd8ee4119a18cb14f6b6209893066",
@@ -107,6 +110,8 @@ def write_artifacts(root) -> dict:
     figure5_experiment(SEED, replications=3, out_dir=root / "figure5")
     quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,
                                      out_dir=root / "quadratic")
+    theory_check(SEED, out_dir=root / "theory", n_bound_trials=200, rate_replications=10,
+                 ks_draws=2000)
     return {
         f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(root.rglob("*")) if f.is_file()

@@ -93,6 +93,7 @@ MALFORMED = [
     (None, "n_learning_paths=2.5"),
     (None, "y_star=[null, 100]"),
     (None, "master_seed=true"),
+    (None, "master_seed=-1"),
     ("arima_ghr", "controller.lambda_ewma=0.7"),
     ("arima_ghr", 'controller.ghr_c="abc"'),
     ("arima_ghr", "controller.ghr_s=null"),
@@ -125,6 +126,22 @@ def test_malformed_override_is_config_error(preset, override, config_file, tmp_p
     if override.startswith("controller."):
         # the message names the controller key that was bad
         assert override[len("controller."):].split("=")[0] in err
+
+
+NEGATIVE_SEED = {
+    "run": ["run", "--config", str(resources.files("r2rcontrol.configs") / "wiener_null.json"),
+            "--replications", "1", "--seed", "-1"],
+    "table2": ["table2", "--replications", "1", "--seed", "-5"],
+    "theory-check": ["theory-check", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED.values(), ids=NEGATIVE_SEED.keys())
+def test_negative_seed_is_config_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--seed" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{not json", '"a string"'], ids=["list", "invalid_json", "string"])

@@ -48,6 +48,52 @@ def test_bvn_perfect_correlation_limits():
     )
 
 
+def test_bvn_array_call_matches_scipy_in_every_regime():
+    rng = np.random.default_rng(5)
+    n = 2400
+    h, k = rng.uniform(-3.0, 3.0, (2, n))
+    # a quarter each: the 6-, 12- and 20-node arcsin series, and |r| >= 0.925
+    ar = np.concatenate([rng.uniform(lo, hi, n // 4) for lo, hi in
+                         ((0.01, 0.3), (0.3, 0.75), (0.75, 0.925), (0.925, 0.9999))])
+    r = ar * rng.choice([-1.0, 1.0], n)
+    expected = [stats.multivariate_normal.cdf([-a, -b], cov=[[1.0, c], [c, 1.0]])
+                for a, b, c in zip(h, k, r)]
+    np.testing.assert_allclose(bvn_upper_orthant(h, k, r), expected, rtol=0, atol=5e-14)
+
+
+# (h, k, r, L) recorded from Genz's routine run one point at a time, with
+# scalar numpy arithmetic. Each L's last bit depends on a detail the array
+# form must keep: the pow() rounding of (h - k)**2 (rows 3-4), summing just
+# the masked high-|r| terms (rows 1-2), or the sign of a zero (row 5).
+PINNED_BVN = [
+    (-0.21510163473138277, 3.8649916076921578, -0.9306612191675349, 9.760558568639382e-26),
+    (7.5920890957994285, -5.087855485035536, -0.9627327986531483, 3.4790343886494857e-31),
+    (6.330966610222756, -4.971665049239659, -0.9871022945533979, 1.0080429741719772e-26),
+    (-5.534261969545195, 6.383018533280763, -0.970212282762009, 9.638975527077059e-14),
+    (0.7, -0.2, -1.0, -0.0),
+]
+
+
+def test_bvn_and_cdf_keep_pinned_values_bit_for_bit():
+    h, k, r, expected = np.array(PINNED_BVN).T
+    assert bvn_upper_orthant(h, k, r).tobytes() == expected.tobytes()
+    # these two CDF values depend on the pow() rounding of u**2 in a(u)
+    d = _dist(1.5, 3.0, 0.8, 0.7, 0.2)
+    got = d.cdf([0.834565640140188, -1.702172228706392])
+    assert got.tolist() == [0.8938729191569618, 3.268489529747703e-05]
+
+
+def test_bvn_array_special_entries_equal_scalar_calls():
+    inf, nan = np.inf, np.nan
+    h = np.array([nan, 0.3, inf, -inf, -inf, 0.4, 0.5, 0.7, 0.7, -0.2, 1.1, 0.2])
+    k = np.array([0.1, nan, 0.2, 0.3, -inf, -inf, -0.6, -0.2, -0.2, 0.9, 0.4, 0.2])
+    r = np.array([0.5, 0.5, 0.5, 0.95, 0.5, -0.4, 0.0, 1.0, -1.0, 0.96, -0.97, 0.5])
+    scalar = [bvn_upper_orthant(float(a), float(b), float(c)) for a, b, c in zip(h, k, r)]
+    assert all(isinstance(v, float) for v in scalar)
+    np.testing.assert_array_equal(bvn_upper_orthant(h, k, r), scalar)
+    assert bvn_upper_orthant(h[:, None], k, 0.5).shape == (12, 12)
+
+
 # ---------------------------------------------------------------------------
 # ratio distribution: exact special cases
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_bound_moments_match_least_squares_covariance():
 
 def test_bounds_shrink_toward_tail_term_for_large_eta():
     cfg = BoundConfig(b=2.5, c=10.0, sigma=0.5, y_star=12.0, n_offline=600)
-    rep = theorem2_bound_check(cfg, eta=50.0, n_trials=2000, seed=7)
+    rep, = theorem2_bound_check(cfg, etas=(50.0,), n_trials=2000, seed=7)
     tail = analytic_bounds(rep.moments, 1.0)[0] - (
         analytic_bounds(rep.moments, 1.0)[0] - analytic_bounds(rep.moments, 1e9)[0]
     )
@@ -47,7 +47,7 @@ def test_bounds_shrink_toward_tail_term_for_large_eta():
 
 def test_large_sample_bound_is_informative_and_holds():
     cfg = BoundConfig(b=2.5, c=10.0, sigma=0.5, y_star=12.0, n_offline=600)
-    rep = theorem2_bound_check(cfg, eta=0.5, n_trials=5000, seed=8)
+    rep, = theorem2_bound_check(cfg, etas=(0.5,), n_trials=5000, seed=8)
     assert rep.bound_action < 0.1
     assert rep.satisfied()
 
@@ -55,12 +55,20 @@ def test_large_sample_bound_is_informative_and_holds():
 def test_bound_battery_satisfied_at_moderate_trials():
     for cfg in DEFAULT_BOUND_BATTERY:
         for i, eta in enumerate((0.1, 0.5, 1.0)):
-            rep = theorem2_bound_check(cfg, eta=eta, n_trials=2000, seed=100 + i)
+            rep, = theorem2_bound_check(cfg, etas=(eta,), n_trials=2000, seed=100 + i)
             assert rep.satisfied(), (cfg.name, eta, rep.to_dict())
 
 
+def test_thresholds_share_one_draw():
+    cfg = DEFAULT_BOUND_BATTERY[4]
+    etas = (0.1, 0.5, 1.0)
+    shared = theorem2_bound_check(cfg, etas, 1000, seed=11)
+    single = [theorem2_bound_check(cfg, (eta,), 1000, seed=11)[0] for eta in etas]
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in single]
+
+
 def test_bound_report_serializes_to_plain_types():
-    rep = theorem2_bound_check(DEFAULT_BOUND_BATTERY[0], eta=0.5, n_trials=500, seed=9)
+    rep, = theorem2_bound_check(DEFAULT_BOUND_BATTERY[0], etas=(0.5,), n_trials=500, seed=9)
     d = rep.to_dict()
     assert isinstance(d["satisfied"], bool)
     assert isinstance(d["vacuous_action"], bool)
