@@ -11,7 +11,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from .controllers import controller_from_config
 from .errors import ConfigError
@@ -236,6 +235,8 @@ def theory_check(
     ks_draws: int = 200_000,
 ) -> dict:
     """Bound battery, estimator-rate check, and ratio-distribution diagnostics."""
+    from scipy import integrate  # here alone, to keep it off the CLI's import path
+
     rng = make_rng(seed, tag="theory-check")
     report: dict = {"seed": seed}
 

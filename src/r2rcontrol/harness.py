@@ -109,13 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"y_star must be finite numbers, got {self.y_star!r}") from exc
         self.y_star = list(y_star)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            return cls(**read_config(path))
-        except TypeError as exc:
-            raise ConfigError(f"bad experiment config {path}: {exc}") from exc
-
     def validate_dimensions(self) -> None:
         model = process_from_config(self.process)
         if len(self.y_star) != model.output_dim:

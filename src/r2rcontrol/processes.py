@@ -8,8 +8,10 @@ draw to the committed state.  A feedback controller's ``act`` calls
 ``Controller.run_path`` then calls ``commit`` once per period and records
 the committed action, output and (ARIMA only) disturbance.  A path whose
 actions are fixed before period 1 (no control, random or oracle actions)
-goes through ``run_open_loop`` instead: it draws the whole path's noise
-at once and gives the same bits as the per-period loop.
+goes through ``run_open_loop`` instead, which draws the whole path's noise
+at once.  Both run through the family's one output equation,
+``_draw_path(u, t0)``: ``step`` is its one-row case, so the two give the
+same bits.
 
 Families:
 
@@ -22,6 +24,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,12 +203,13 @@ class ProcessModel:
         pass
 
     def _check_step(self, u: np.ndarray, t: int) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.array(u, dtype=float, ndmin=1, copy=None)
         if u.shape != (self.control_dim,):
             raise DimensionError(
                 f"action has length {u.shape[0]}, process expects {self.control_dim}"
             )
-        if not np.all(np.isfinite(u)):
+        # per element in Python: a numpy reduction costs more than the draw itself
+        if not all(map(math.isfinite, u.tolist())):
             raise NonFiniteActionError(f"action at period {t} is not finite: {u}")
         if not 1 <= t <= self.T:
             raise HorizonError(f"period {t} outside horizon 1..{self.T}")
@@ -218,7 +222,8 @@ class ProcessModel:
     def step(self, u, t: int) -> np.ndarray:
         """Draw y_t from the committed t-1 state; repeatable, does not advance."""
         u = self._check_step(u, t)
-        y, state = self._draw(u, t)
+        y, _, state = self._draw_path(u[None], t)
+        y = y[0]
         self._pending = (u, y, state)
         return y
 
@@ -237,12 +242,12 @@ class ProcessModel:
     def run_open_loop(self, u) -> tuple[np.ndarray, np.ndarray | None]:
         """Run periods 1..T under actions fixed in advance, ``u`` of shape (T, m_u).
 
-        Starts from the state ``reset`` left.  The family draws the whole
-        path's noise in one call and keeps ``_draw``'s per-period
-        arithmetic, so the outputs equal a ``step``/``commit`` loop's bit
-        for bit, and the model is left committed at period T as that loop
-        leaves it.  Returns the (T, m_y) outputs and the (T,) disturbances,
-        None for a family without them.
+        Starts from the state ``reset`` left.  The family's ``_draw_path``
+        draws the whole path's noise in one call; ``step`` is its one-period
+        case and takes from the generator what one row takes, so the outputs
+        equal a ``step``/``commit`` loop's bit for bit, and the model is left
+        committed at period T as that loop leaves it.  Returns the (T, m_y)
+        outputs and the (T,) disturbances, None for a family without them.
         """
         u = np.asarray(u, dtype=float)
         if u.shape != (self.T, self.control_dim):
@@ -255,7 +260,7 @@ class ProcessModel:
             raise NonFiniteActionError(f"action at period {t} is not finite: {u[t - 1]}")
         if self.period != 0 or self._pending is not None:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
-        y, d, state = self._draw_path(u)
+        y, d, state = self._draw_path(u, 1)
         self.period = self.T
         self.y_committed = y[-1].copy()
         self.u_committed = u[-1].copy()
@@ -264,11 +269,11 @@ class ProcessModel:
 
     # family-specific -------------------------------------------------------
 
-    def _draw(self, u: np.ndarray, t: int):
-        raise NotImplementedError
+    def _draw_path(self, u: np.ndarray, t0: int):
+        """Periods t0..t0+len(u)-1 under actions ``u`` from the committed state.
 
-    def _draw_path(self, u: np.ndarray):
-        """(outputs, disturbances or None, last period's state) of a whole open-loop path."""
+        Returns (outputs, disturbances or None, the last period's state).
+        """
         raise NotImplementedError
 
     def _commit_state(self, state) -> None:
@@ -293,17 +298,11 @@ class LinearCmpProcess(ProcessModel):
         self._noise_factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
         super().__init__(params.T, params.A)
 
-    def _draw(self, u, t):
+    def _draw_path(self, u, t0):
         p = self.params
-        w = self._noise_factor @ self._rng.standard_normal(self.output_dim)
-        y = p.A + p.B @ u + p.delta * t + w
-        return y, None
-
-    def _draw_path(self, u):
-        p = self.params
-        z = self._rng.standard_normal((self.T, self.output_dim))
+        z = self._rng.standard_normal((len(u), self.output_dim))
         # row by row: a batched U @ B.T is a GEMM and may differ in the last bit
-        y = [p.A + p.B @ u[t - 1] + p.delta * t + self._noise_factor @ z[t - 1] for t in range(1, self.T + 1)]
+        y = [p.A + p.B @ u[i] + p.delta * (t0 + i) + self._noise_factor @ z[i] for i in range(len(u))]
         return np.array(y), None, None
 
 
@@ -327,19 +326,11 @@ class ArimaProcess(ProcessModel):
         self._dd = 0.0
         self._w = 0.0
 
-    def _draw(self, u, t):
-        p = self.params
-        w = self._rng.normal(0.0, p.sigma)
-        dd = p.phi * self._dd + w - p.theta * self._w
-        d = self._d + dd
-        y = np.array([p.a + p.b * u[0] + d])
-        return y, (d, dd, w)
-
-    def _draw_path(self, u):
+    def _draw_path(self, u, t0):
         p = self.params
         d, dd, w_prev = self._d, self._dd, self._w
         ds = []
-        for w in self._rng.normal(0.0, p.sigma, size=self.T).tolist():
+        for w in self._rng.normal(0.0, p.sigma, size=len(u)).tolist():
             dd = p.phi * dd + w - p.theta * w_prev
             d = d + dd
             ds.append(d)
@@ -381,15 +372,10 @@ class QuadraticCmpProcess(ProcessModel):
             [f @ p.coeffs1 + p.drift1 * t, f @ p.coeffs2 + p.drift2 * t]
         )
 
-    def _draw(self, u, t):
+    def _draw_path(self, u, t0):
         p = self.params
-        eps = self._rng.standard_normal(2) * np.array([p.noise1, p.noise2])
-        return self.mean_response(u, t) + eps, None
-
-    def _draw_path(self, u):
-        p = self.params
-        eps = self._rng.standard_normal((self.T, 2)) * np.array([p.noise1, p.noise2])
-        y = [self.mean_response(u[t - 1], t) + eps[t - 1] for t in range(1, self.T + 1)]
+        eps = self._rng.standard_normal((len(u), 2)) * np.array([p.noise1, p.noise2])
+        y = [self.mean_response(u[i], t0 + i) + eps[i] for i in range(len(u))]
         return np.array(y), None, None
 
 
@@ -405,20 +391,17 @@ class _AdditiveControlProcess(ProcessModel):
         self.params = params
         super().__init__(params.T, params.y0)
 
-    def _increments(self, size=None):
-        """One increment (``size=None``) or an array of ``size``, from the same stream."""
+    def _increments(self, size: int) -> np.ndarray:
+        """``size`` uncontrolled increments from the model's stream."""
         raise NotImplementedError
 
-    def _draw(self, u, t):
-        y = self.y_committed + self._increments() + self.params.control_gain * (u - self.u_committed)
-        return y, None
-
-    def _draw_path(self, u):
-        shift = self.params.control_gain * np.diff(u[:, 0], prepend=self.u_committed[0])
-        y = float(self.y_committed[0])
+    def _draw_path(self, u, t0):
+        gain = self.params.control_gain
+        (y,), (u_prev,) = self.y_committed.tolist(), self.u_committed.tolist()
         ys = []
-        for inc, c in zip(self._increments(self.T).tolist(), shift.tolist()):
-            y = y + inc + c
+        for inc, (u_t,) in zip(self._increments(len(u)).tolist(), u.tolist()):
+            y = y + inc + gain * (u_t - u_prev)
+            u_prev = u_t
             ys.append(y)
         return np.array(ys)[:, None], None, None
 
@@ -432,7 +415,7 @@ class WienerProcess(_AdditiveControlProcess):
 
     family = "wiener"
 
-    def _increments(self, size=None):
+    def _increments(self, size):
         p = self.params
         return p.v + p.sigma * self._rng.standard_normal(size)
 
@@ -446,7 +429,7 @@ class GammaProcess(_AdditiveControlProcess):
 
     family = "gamma"
 
-    def _increments(self, size=None):
+    def _increments(self, size):
         p = self.params
         return self._rng.gamma(p.alpha, p.scale, size)
 

@@ -238,7 +238,10 @@ class RatioDistribution:
         term2 = np.sqrt(one_m_r2) / (
             np.pi * m.sigma1 * m.sigma2 * a**2
         ) * np.exp(-c / (2.0 * one_m_r2))
-        return term1 + term2
+        out = term1 + term2
+        # far out (|u| past about 1e154) the terms overflow to nan, where the
+        # density is below the smallest double: take its limit 0
+        return np.where(np.isnan(out) & ~np.isnan(u), 0.0, out)
 
     def _cdf_pos(self, u):
         m = self._m
@@ -248,31 +251,42 @@ class RatioDistribution:
         r = (m.sigma2 * u - m.rho * m.sigma1) / denom
         h = (m.mu1 - m.mu2 * u) / denom
         k = m.mu2 / m.sigma2
-        return bvn_upper_orthant(h, -k, r) + bvn_upper_orthant(-h, k, r)
+        vals = bvn_upper_orthant(h, -k, r) + bvn_upper_orthant(-h, k, r)
+        # where u is infinite or u**2 overflows (|u| past about 1e154), a is
+        # not finite and the formula reads 0.5 or nan: take the limits 0 and 1
+        return np.where(np.isinf(u) | np.isinf(a), u > 0.0, vals)
 
     def _approx_pos(self, u):
         m = self._m
         a, _, _ = self._abc(u, u**2)
-        return ndtr((m.mu2 * u - m.mu1) / (m.sigma1 * m.sigma2 * a))
+        vals = ndtr((m.mu2 * u - m.mu1) / (m.sigma1 * m.sigma2 * a))
+        # where a is not finite, as in _cdf_pos: its own limits Phi(+-mu2/sigma2),
+        # not 0 and 1, as u runs to +-inf
+        return np.where(np.isinf(u) | np.isinf(a), ndtr(np.copysign(m.mu2 / m.sigma2, u)), vals)
 
     # public surface --------------------------------------------------------
 
+    # The far tails overflow on purpose: the private pieces above replace
+    # those entries by their limits.
+
     def pdf(self, u):
         u = np.asarray(u, dtype=float)
-        x = -u if self._flip else u
-        out = self._pdf_pos(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._pdf_pos(-u if self._flip else u)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
-        vals = _blockwise(self._cdf_pos, -u if self._flip else u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _blockwise(self._cdf_pos, -u if self._flip else u)
         if self._flip:
             vals = 1.0 - vals
         return float(vals) if vals.ndim == 0 else vals
 
     def cdf_normal_approx(self, u):
         u = np.asarray(u, dtype=float)
-        vals = self._approx_pos(-u if self._flip else u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self._approx_pos(-u if self._flip else u)
         if self._flip:
             vals = 1.0 - vals
         return float(vals) if vals.ndim == 0 else vals

@@ -2,7 +2,9 @@
 
 The digests were recorded from small runs of the presets and protocols
 below (numpy 2.4, scipy 1.17, OpenBLAS on x86-64), and agree between one
-and two BLAS threads.  ``gamma_pgs``, and hence ``table2``, are left out:
+and two BLAS threads.  The preset runs, ``figure2`` and ``figure5`` are
+written once more with two worker processes, and must give the same bytes.
+``gamma_pgs``, and hence ``table2``, are left out:
 their online PGS paths abort with ``PeriodAbortError`` on some seeds (see
 the open ``FOUND`` line in CHANGES.md), so a small run of them is not a
 stable fixture.
@@ -99,27 +101,38 @@ EXPECTED = {
 }
 
 
-def write_artifacts(root) -> dict:
+def write_artifacts(root, threads=1) -> dict:
+    """Every artifact, or with ``threads`` > 1 those of the protocols that take worker processes."""
     runs = [(name, name, {}) for name in PRESETS]
     runs += [(name, preset, {"controller": ctl}) for name, (preset, ctl) in SWAPPED.items()]
     for name, preset, swap in runs:
         n_paths = min(preset_config(preset).n_learning_paths, 4)
-        run_experiment(preset_config(preset, replications=3, n_learning_paths=n_paths,
+        run_experiment(preset_config(preset, replications=3, n_learning_paths=n_paths, threads=threads,
                                      output_dir=str(root / name), **swap))
-    figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2")
-    figure5_experiment(SEED, replications=3, out_dir=root / "figure5")
-    quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,
-                                     out_dir=root / "quadratic")
-    theory_check(SEED, out_dir=root / "theory", n_bound_trials=200, rate_replications=10,
-                 ks_draws=2000)
+    figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2", threads=threads)
+    figure5_experiment(SEED, replications=3, out_dir=root / "figure5", threads=threads)
+    if threads == 1:
+        quadratic_error_ratio_experiment(SEED, n_learning_paths=2, n_eval_paths=2,
+                                         out_dir=root / "quadratic")
+        theory_check(SEED, out_dir=root / "theory", n_bound_trials=200, rate_replications=10,
+                     ks_draws=2000)
     return {
         f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(root.rglob("*")) if f.is_file()
     }
 
 
-def test_artifacts_match_recorded_digests(tmp_path):
-    got = write_artifacts(tmp_path)
-    assert sorted(got) == sorted(EXPECTED)
-    changed = [name for name in EXPECTED if got[name] != EXPECTED[name]]
+def _assert_recorded(got: dict, expected: dict) -> None:
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
     assert not changed, f"artifacts changed: {changed}"
+
+
+def test_artifacts_match_recorded_digests(tmp_path):
+    _assert_recorded(write_artifacts(tmp_path), EXPECTED)
+
+
+def test_parallel_artifacts_match_recorded_digests(tmp_path):
+    serial_only = ("quadratic/", "theory/")
+    _assert_recorded(write_artifacts(tmp_path, threads=2),
+                     {k: v for k, v in EXPECTED.items() if not k.startswith(serial_only)})

@@ -219,9 +219,10 @@ def test_unsupported_flags_and_commands_are_usage_errors(argv, capsys):
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half a second of start-up; scipy.special.ndtr is all the CLI needs
+    # scipy.stats costs about half a second of start-up; scipy.special.ndtr is all the CLI needs,
+    # and scipy.integrate is imported by theory_check's pdf integral alone
     src = str(Path(r2rcontrol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = "import sys, r2rcontrol.cli; print('scipy.stats' in sys.modules)"
+    script = "import sys, r2rcontrol.cli; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"

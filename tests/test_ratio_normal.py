@@ -134,6 +134,25 @@ def test_cdf_is_monotone_and_bounded():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("mu2", [3.0, -3.0])
+def test_tails_take_their_limits(mu2):
+    # past |u| ~ 1e154 u**2 overflows and a(u) = inf: the formulas alone read 0.5 or nan
+    d = _dist(1.5, mu2, 0.8, 0.7, 0.2)
+    inf = np.inf
+    assert d.cdf([-inf, -1e300, 1e300, inf]).tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert d.pdf([-inf, -1e300, -1e160, 1e160, 1e300, inf]).tolist() == [0.0] * 6
+    # the normal approximation keeps its own limits Phi(+-|mu2|/sigma2) as u -> +-inf,
+    # which it nearly reaches inside the formula's range (+-1e150)
+    lo, hi = stats.norm.cdf([-abs(mu2) / 0.7, abs(mu2) / 0.7])
+    approx = d.cdf_normal_approx([-inf, -1e300, -1e150, 1e150, 1e300, inf])
+    np.testing.assert_allclose(approx, [lo] * 3 + [hi] * 3, rtol=0, atol=1e-15)
+    grid = np.concatenate([[-inf], -np.logspace(300, -3, 2000), [0.0], np.logspace(-3, 300, 2000), [inf]])
+    vals = d.cdf(grid)
+    assert np.all(np.diff(vals) >= -1e-12)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert all(np.isnan(f(np.nan)) for f in (d.cdf, d.pdf, d.cdf_normal_approx))
+
+
 def test_cdf_derivative_matches_pdf():
     d = _dist(0.9, 2.2, 0.5, 0.3, 0.06)
     for u in (-1.0, 0.2, 0.41, 1.5):
