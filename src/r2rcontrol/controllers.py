@@ -21,7 +21,9 @@ the committed action, output and disturbance.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import operator
 
 import numpy as np
@@ -117,11 +119,17 @@ class LinearOracleController(Controller):
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
 
     def open_loop_actions(self, model, seed):
-        # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit
-        return np.array([
-            np.linalg.lstsq(self.B, self.y_star - self.A - self.delta * t, rcond=None)[0]
-            for t in range(1, model.T + 1)
-        ])
+        # the actions do not depend on the seed: solved once per (A, B, delta, y*, T), copied per path
+        key = [(a.shape, a.tobytes()) for a in (self.A, self.B, self.delta, self.y_star)]
+        return _oracle_actions(*key, model.T).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _oracle_actions(A, B, delta, y_star, T: int) -> np.ndarray:
+    """The T solves of B u = y* - A - delta*t; each array comes as its (shape, bytes)."""
+    A, B, delta, y_star = (np.frombuffer(data).reshape(shape) for shape, data in (A, B, delta, y_star))
+    # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit
+    return np.array([np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)[0] for t in range(1, T + 1)])
 
 
 class RandomActionController(Controller):
@@ -208,18 +216,44 @@ class GhrController(Controller):
 # ---------------------------------------------------------------------------
 
 
+# a pooled design with a larger 2-norm condition number is treated as rank-deficient
+_COND_LIMIT = 1e12
+
+
 class _PooledFit:
-    """Incremental Gram accumulator for pooled least squares."""
+    """Incremental [Gram | X'y] accumulator for pooled least squares.
+
+    ``solve`` reports a fit as ridged when the Gram is singular or, exactly
+    as ``np.linalg.cond(gram) > _COND_LIMIT`` would, near-singular.  The
+    condition number is not recomputed at every solve.  Adding x x' never
+    lowers the Gram's smallest eigenvalue and raises its largest by at most
+    |x|^2 (Weyl), so after one exact SVD, (s_max + sum |x|^2) / s_min bounds
+    the condition number of every later Gram from above.  While that bound
+    is below a tenth of the limit, the condition number is certainly below
+    the limit and the SVD is skipped; otherwise it is recomputed and the
+    bound restarts from the new singular values.
+    """
 
     def __init__(self, n_features: int, n_outputs: int):
-        self.gram = np.zeros((n_features, n_features))
-        self.xty = np.zeros((n_features, n_outputs))
+        self.aug = np.zeros((n_features, n_features + n_outputs))
+        self.gram = self.aug[:, :n_features]
+        self.xty = self.aug[:, n_features:]
         self.n = 0
+        self._s_min = 0.0
+        self._s_max_bound = np.inf
 
     def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.gram += np.outer(x, x)
-        self.xty += np.outer(x, y)
+        self.aug += x[:, None] * np.concatenate((x, y))
+        self._s_max_bound += x @ x
         self.n += 1
+
+    def _near_singular(self) -> bool:
+        if self._s_max_bound < 0.1 * _COND_LIMIT * self._s_min:
+            return False
+        s = np.linalg.svd(self.gram, compute_uv=False)
+        self._s_min, self._s_max_bound = s[-1], s[0]
+        # a zero s_min is np.linalg.cond's inf
+        return s[-1] == 0.0 or s[0] / s[-1] > _COND_LIMIT
 
     def solve(self) -> tuple[np.ndarray, bool]:
         gram = self.gram
@@ -232,7 +266,7 @@ class _PooledFit:
             ridged = True
             theta = np.linalg.solve(ridged_gram(gram), self.xty)
         # near-singular pooled designs behave like rank-deficient ones
-        if not ridged and np.linalg.cond(gram) > 1e12:
+        if not ridged and self._near_singular():
             ridged = True
         return theta, ridged
 
@@ -446,8 +480,11 @@ class RlAlg1Controller(_ModelFitController):
             else:
                 u_next = self._optimize(t, u_k)
             self.pool.add(self._features(u_next, t), model.step(u_next, t))
-            theta_step = float(np.linalg.norm(self.theta - theta_prev))
-            action_step = float(np.linalg.norm(u_next - u_k))
+            # np.linalg.norm of a real array, without its wrapper
+            d_theta = (self.theta - theta_prev).ravel()
+            d_u = u_next - u_k
+            theta_step = math.sqrt(d_theta @ d_theta)
+            action_step = math.sqrt(d_u @ d_u)
             u_k = u_next
             if theta_step < self.epsilon and action_step < self.eta:
                 converged = True

@@ -214,14 +214,17 @@ def summarize(results: list[RunResult], baseline_mean_mse: float | None = None) 
     )
 
 
+def _write_lines(out_path, header: list[str], lines) -> None:
+    Path(out_path).write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
 def write_csv(out_path, header: list[str], rows) -> None:
     """One line per row: numbers formatted with ``FLOAT_FMT``, strings as they are."""
-    lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_lines(out_path, header, (",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows))
 
 
 def write_paths_csv(results: list[RunResult], out_path) -> None:
+    """The final path of every replication, as :func:`write_csv` would write its rows."""
     first = results[0].path
     m_u = first.u.shape[1]
     m_y = first.y.shape[1]
@@ -231,12 +234,14 @@ def write_paths_csv(results: list[RunResult], out_path) -> None:
         + [f"y_{j + 1}" for j in range(m_y)]
         + ["d"]
     )
-    rows = [
-        [rep, t + 1, *res.path.u[t], *res.path.y[t], "" if res.path.d is None else res.path.d[t]]
-        for rep, res in enumerate(results)
-        for t in range(res.path.horizon)
-    ]
-    write_csv(out_path, header, rows)
+    lines = []
+    for rep, res in enumerate(results):
+        path = res.path
+        values = np.hstack([path.u, path.y] + ([] if path.d is None else [path.d[:, None]]))
+        # one template a replication: t prints as an integer, and without disturbances the d field is empty
+        line = ",".join([str(rep), "%d", *[FLOAT_FMT] * values.shape[1]]) + ("," if path.d is None else "")
+        lines += [line % (t, *row) for t, row in enumerate(values.tolist(), start=1)]
+    _write_lines(out_path, header, lines)
 
 
 def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:

@@ -96,6 +96,10 @@ def analytic_bounds(moments: RatioMoments, eta: float) -> tuple[float, float]:
     )
 
 
+# rows of bound-check noise held at once: 20 MB at the largest battery design (2,500 samples)
+_NOISE_BLOCK_ROWS = 1000
+
+
 def theorem2_bound_check(
     config: BoundConfig, etas, n_trials: int, seed: int
 ) -> list[BoundReport]:
@@ -112,8 +116,14 @@ def theorem2_bound_check(
     X = np.column_stack([u, np.ones_like(u)])
     moments = bound_moments(config, X)
     proj = np.linalg.solve(X.T @ X, X.T)  # (2, n)
-    noise = rng.standard_normal((n_trials, config.n_offline)) * config.sigma
-    theta_hat = np.array([config.b, config.c]) + noise @ proj.T  # (n_trials, 2)
+    # the noise is drawn and projected in row blocks, in stream order: a block's rows are the rows
+    # the whole (n_trials, n_offline) draw would hold, and each projected row is the same dot product
+    noise_proj = np.empty((n_trials, 2))
+    for start in range(0, n_trials, _NOISE_BLOCK_ROWS):
+        noise = rng.standard_normal((min(_NOISE_BLOCK_ROWS, n_trials - start), config.n_offline))
+        noise *= config.sigma
+        noise_proj[start : start + noise.shape[0]] = noise @ proj.T
+    theta_hat = np.array([config.b, config.c]) + noise_proj  # (n_trials, 2)
     u_hat = (config.y_star - theta_hat[:, 1]) / theta_hat[:, 0]
     u_star = (config.y_star - config.c) / config.b
     err_action = np.abs(u_hat - u_star)
@@ -198,13 +208,25 @@ def theorem1_rate_check(
     all_bias = []
     for i, n_paths in enumerate(n_grid):
         n = n_paths * periods
-        u = (rng.random((replications, n)) - 0.5) * 2.0 * action_spread
-        e = rng.standard_normal((replications, n)) * sigma
-        y = a + b * u + e
+        # built and centred in place, each operation in the order of
+        # u = (U - 0.5) * 2 * spread, y = a + b*u + e*sigma, u - ubar, y - ybar
+        u = rng.random((replications, n))
+        u -= 0.5
+        u *= 2.0
+        u *= action_spread
+        e = rng.standard_normal((replications, n))
+        e *= sigma
+        y = b * u
+        y += a
+        y += e
+        del e
         ubar = u.mean(axis=1, keepdims=True)
         ybar = y.mean(axis=1, keepdims=True)
-        su = np.sum((u - ubar) ** 2, axis=1)
-        b_hat = np.sum((u - ubar) * (y - ybar), axis=1) / su
+        u -= ubar
+        y -= ybar
+        su = np.sum(u**2, axis=1)
+        b_hat = np.sum(u * y, axis=1) / su
+        del u, y
         a_hat = ybar.ravel() - b_hat * ubar.ravel()
         est = np.column_stack([a_hat - a, b_hat - b])
         variances[i] = est.var(axis=0, ddof=1)

@@ -1,5 +1,6 @@
 """Tests for the five control policies and their construction from config."""
 
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -14,12 +15,15 @@ from r2rcontrol.controllers import (
     RandomActionController,
     RlAlg1Controller,
     RlPgsController,
+    _oracle_actions,
+    _PooledFit,
     controller_from_config,
     rl_alg1_action_optimize,
 )
 from r2rcontrol.errors import ConfigError, PeriodAbortError
 from r2rcontrol.estimation import PgsDistributionParams
-from r2rcontrol.experiments import load_preset
+from r2rcontrol.experiments import load_preset, preset_config
+from r2rcontrol.harness import run_replication
 from r2rcontrol.processes import (
     ArimaProcess,
     ArimaProcessParams,
@@ -279,6 +283,58 @@ def test_rl_alg1_deterministic_in_seed():
     np.testing.assert_array_equal(paths[0].y, paths[1].y)
 
 
+def test_pooled_ridge_decision_matches_the_condition_number(monkeypatch):
+    # two cmp_rl replications at preset size: every solve's ridge flag against the exact condition number
+    real_solve, real_svd, real_cond = _PooledFit.solve, np.linalg.svd, np.linalg.cond
+    counts = {"solves": 0, "svds": 0, "ridged": 0, "period_one_ridged": 0}
+
+    def reference_ridged(gram, xty) -> bool:
+        try:
+            theta = np.linalg.solve(gram, xty)
+        except np.linalg.LinAlgError:
+            return True
+        return not np.all(np.isfinite(theta)) or bool(real_cond(gram) > 1e12)
+
+    def checked_solve(pool):
+        gram, xty = pool.gram.copy(), pool.xty.copy()
+        theta, ridged = real_solve(pool)
+        assert ridged == reference_ridged(gram, xty), f"solve {counts['solves']} with {pool.n} samples"
+        counts["solves"] += 1
+        counts["ridged"] += ridged
+        # period 1 adds 1 + k samples by inner iteration k, with the intercept and t columns equal
+        counts["period_one_ridged"] += ridged and pool.n <= 21 and np.array_equal(gram[0], gram[-1])
+        return theta, ridged
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts["svds"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_PooledFit, "solve", checked_solve)
+    # an SVD is taken through either function
+    monkeypatch.setattr(np.linalg, "svd", counted(real_svd))
+    monkeypatch.setattr(np.linalg, "cond", counted(real_cond))
+    config = preset_config("cmp_rl")
+    for rep in range(2):
+        for key in counts:
+            counts[key] = 0
+        run_replication(config, rep)
+        assert counts["solves"] > 1000
+        assert counts["ridged"] == counts["period_one_ridged"] == 20
+        assert 1 <= counts["svds"] <= 10
+
+
+@pytest.mark.parametrize("gram", [np.diag([4.0, 1.0, 0.0]), np.zeros((3, 3))], ids=["rank_two", "zero"])
+def test_singular_gram_is_near_singular_without_a_warning(gram):
+    pool = _PooledFit(3, 1)
+    pool.gram[:] = gram
+    assert np.linalg.cond(gram) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pool._near_singular()
+
+
 def test_rl_alg1_quadratic_family_needs_three_controls():
     with pytest.raises(ConfigError):
         RlAlg1Controller(Y_STAR, control_dim=2, output_dim=2, model_family="quadratic", **ALG1)
@@ -355,12 +411,37 @@ def test_random_actions_equal_per_period_draws():
 
 
 def test_oracle_actions_are_the_per_period_minimum_norm_solves():
-    model = _cmp_process()
-    path = simulate_path(model, LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR), seed=3)
+    _oracle_actions.cache_clear()
     B, A, delta, y_star = (np.asarray(v, dtype=float) for v in (CMP["B"], CMP["A"], CMP["delta"], Y_STAR))
-    for t in range(1, model.T + 1):
-        u, *_ = np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)
-        assert path.u[t - 1].tobytes() == u.tobytes()
+    expected = [np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)[0] for t in range(1, 31)]
+    # the first path solves the actions, later paths and fresh controllers reuse them
+    for seed in (3, 4):
+        model = _cmp_process()
+        path = simulate_path(model, LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR), seed=seed)
+        for t in range(1, model.T + 1):
+            assert path.u[t - 1].tobytes() == expected[t - 1].tobytes()
+    assert _oracle_actions.cache_info().misses == 1
+
+
+def test_oracle_paths_do_not_share_their_actions():
+    oracle = LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR)
+    first = simulate_path(_cmp_process(), oracle, seed=1)
+    before = first.u.copy()
+    first.u[:] = 0.0
+    second = simulate_path(_cmp_process(), oracle, seed=2)
+    assert second.u.tobytes() == before.tobytes()
+
+
+def test_oracles_of_different_processes_get_different_actions():
+    oracle = LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR)
+    base = simulate_path(_cmp_process(), oracle, 1).u
+    other_delta = LinearOracleController(CMP["A"], CMP["B"], [1.5, -0.7], Y_STAR)
+    assert not np.array_equal(simulate_path(_cmp_process(), other_delta, 1).u, base)
+    # another horizon has its own actions, equal to these where the periods overlap
+    shorter = simulate_path(_cmp_process(T=20), oracle, 1).u
+    longer = simulate_path(_cmp_process(T=40), oracle, 1).u
+    assert shorter.shape == (20, 3) and shorter.tobytes() == base[:20].tobytes()
+    assert longer.shape == (40, 3) and longer[:30].tobytes() == base.tobytes()
 
 
 @pytest.mark.parametrize("controller", [

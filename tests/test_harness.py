@@ -204,6 +204,45 @@ def test_paths_csv_schema(tmp_path):
     assert len(lines) == 1 + 2 * CMP_PROCESS["T"]
 
 
+def _value_by_value_paths_csv(results) -> bytes:
+    """``paths.csv`` formatted one value at a time: the writer's reference."""
+    first = results[0].path
+    header = (["replication", "t"] + [f"u_{j + 1}" for j in range(first.u.shape[1])]
+              + [f"y_{j + 1}" for j in range(first.y.shape[1])] + ["d"])
+    lines = [",".join(header)]
+    for rep, res in enumerate(results):
+        p = res.path
+        for t in range(p.horizon):
+            row = [rep, t + 1, *p.u[t], *p.y[t], "" if p.d is None else p.d[t]]
+            lines.append(",".join(v if isinstance(v, str) else "%.17g" % v for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("process, controller", [
+    (CMP_PROCESS, {"kind": "ewma"}),
+    (ARIMA_PROCESS, {"kind": "null"}),
+], ids=["linear_cmp", "arima"])
+def test_paths_csv_bytes_match_value_by_value_formatting(tmp_path, process, controller):
+    cfg = ExperimentConfig(process=process, controller=controller,
+                           y_star=Y_STAR if process is CMP_PROCESS else [90.0], replications=3, master_seed=7)
+    results = run_replications(cfg)
+    # values that need all 17 digits, integers, signed zero, extremes
+    path = results[1].path
+    path.u[0, 0] = 0.1 + 0.2
+    path.y[1, 0] = 1.0 / 3.0
+    path.y[2, 0] = -0.0
+    path.y[3, 0] = 5e-324
+    path.y[4, 0] = 1.7976931348623157e308
+    path.u[5, 0] = 12.0
+    assert (path.d is None) == (process is CMP_PROCESS)
+    if path.d is not None:
+        path.d[0] = 2.0 / 3.0
+    f = tmp_path / "paths.csv"
+    write_paths_csv(results, f)
+    assert f.read_bytes() == _value_by_value_paths_csv(results)
+    assert "0.30000000000000004" in f.read_text()
+
+
 def test_audit_files_written(tmp_path):
     cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": "ewma"},
                            y_star=Y_STAR, replications=3, master_seed=7,
