@@ -27,6 +27,7 @@ import math
 import operator
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import optimize
 
 from .errors import ConfigError, PeriodAbortError
@@ -216,6 +217,27 @@ class GhrController(Controller):
 # ---------------------------------------------------------------------------
 
 
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a square float64 ``a`` and a float64 ``b``, without its wrapper.
+
+    Makes the LAPACK ``dgesv`` call that ``np.linalg.solve`` makes, through
+    numpy's ``solve1`` (1-D ``b``) or ``solve`` (2-D ``b``) gufunc under the
+    same error state, set per call by the decorator.  So the bits are the
+    same and an exactly singular ``a`` raises ``LinAlgError``; only the
+    dtype and shape checks are skipped, and here both hold by construction.
+    ``scipy.linalg.lapack.dgesv`` is not used: scipy's wheel bundles a
+    different OpenBLAS build, whose solutions differ from numpy's in the
+    last bits on a share of small systems.
+    """
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
 # a pooled design with a larger 2-norm condition number is treated as rank-deficient
 _COND_LIMIT = 1e12
 
@@ -259,12 +281,12 @@ class _PooledFit:
         gram = self.gram
         ridged = False
         try:
-            theta = np.linalg.solve(gram, self.xty)
-            if not np.all(np.isfinite(theta)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
+            theta = _solve(gram, self.xty)
+            if not np.isfinite(theta).all():
+                raise LinAlgError
+        except LinAlgError:
             ridged = True
-            theta = np.linalg.solve(ridged_gram(gram), self.xty)
+            theta = _solve(ridged_gram(gram), self.xty)
         # near-singular pooled designs behave like rank-deficient ones
         if not ridged and self._near_singular():
             ridged = True
@@ -273,25 +295,23 @@ class _PooledFit:
 
 def _quad_residual(theta: np.ndarray, y_star: np.ndarray, t: int, u: np.ndarray):
     """Target miss r of the fitted quadratic family at ``u`` and its transposed Jacobian dr/du (3 x m_y)."""
-    f = QuadraticCmpProcess.quad_features(u)
-    x = np.concatenate([f, [float(t)]])
-    r = x @ theta - y_star
-    # gradient of features wrt u
-    u1, u2, u3 = u
+    r = _quadratic_features(u, t) @ theta - y_star
+    # gradient of features wrt u (10 x 3), from Python floats: their products round as float64 ones do
+    u1, u2, u3 = u.tolist()
     jac_f = np.array(
         [
-            [0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [2 * u1, 0.0, 0.0],
-            [0.0, 2 * u2, 0.0],
-            [0.0, 0.0, 2 * u3],
-            [u2, u1, 0.0],
-            [u3, 0.0, u1],
-            [0.0, u3, u2],
+            0.0, 0.0, 0.0,
+            1.0, 0.0, 0.0,
+            0.0, 1.0, 0.0,
+            0.0, 0.0, 1.0,
+            2 * u1, 0.0, 0.0,
+            0.0, 2 * u2, 0.0,
+            0.0, 0.0, 2 * u3,
+            u2, u1, 0.0,
+            u3, 0.0, u1,
+            0.0, u3, u2,
         ]
-    )
+    ).reshape(10, 3)
     return r, jac_f.T @ theta[:-1]
 
 
@@ -329,10 +349,10 @@ def _quad_gauss_newton(theta, y_star, t, u, lo, hi) -> np.ndarray | None:
         if r @ r <= _EXACT_MISS:
             return u
         try:
-            step = jac_t @ np.linalg.solve(jac_t.T @ jac_t, r)
-        except np.linalg.LinAlgError:
+            step = jac_t @ _solve(jac_t.T @ jac_t, r)
+        except LinAlgError:
             return None
-        u = np.clip(u - step, lo, hi)
+        u = (u - step).clip(lo, hi)
     return None
 
 
@@ -356,7 +376,8 @@ def rl_alg1_action_optimize(
     squared miss is at most ``_EXACT_MISS``.  If it does not get there (a
     singular J J^T, the iteration cap, or no exact hit inside the box), a
     bounded L-BFGS multistart from the same start and a fixed stencil
-    minimizes the miss, with first-found tie-breaking.
+    minimizes the miss, with first-found tie-breaking.  The stencil is
+    clipped to the box only when the fallback runs.
     """
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     lo, hi = bounds
@@ -371,15 +392,15 @@ def rl_alg1_action_optimize(
         delta_hat = theta2[-1]
         rhs = y_star - A_hat - delta_hat * t
         u, *_ = np.linalg.lstsq(B_hat, rhs, rcond=None)
-        return np.clip(u, lo, hi)
+        return u.clip(lo, hi)
     if model_family == "quadratic":
-        starts = []
-        if warm_start is not None:
-            starts.append(np.clip(np.asarray(warm_start, dtype=float), lo, hi))
-        starts.extend(np.clip(_QUAD_STENCIL, lo, hi))
-        u = _quad_gauss_newton(theta, y_star, t, starts[0], lo, hi)
+        first = _QUAD_STENCIL[0] if warm_start is None else np.asarray(warm_start, dtype=float)
+        start = first.clip(lo, hi)
+        u = _quad_gauss_newton(theta, y_star, t, start, lo, hi)
         if u is not None:
             return u
+        starts = [] if warm_start is None else [start]
+        starts.extend(_QUAD_STENCIL.clip(lo, hi))
         fun = _quad_objective(theta, y_star, t)
         best_u, best_val = None, np.inf
         box = [(lo, hi)] * 3
@@ -400,7 +421,7 @@ def _linear_features(u: np.ndarray, t: int) -> np.ndarray:
 
 
 def _quadratic_features(u: np.ndarray, t: int) -> np.ndarray:
-    return np.concatenate([QuadraticCmpProcess.quad_features(u), [float(t)]])
+    return np.array(QuadraticCmpProcess.quad_terms(*u.tolist()) + [float(t)])
 
 
 class _ModelFitController(Controller):
@@ -476,7 +497,7 @@ class RlAlg1Controller(_ModelFitController):
             self.theta, ridged = self.pool.solve()
             if ridged or self.pool.n < 3 * self.n_features:
                 u_next = u_k + self._explore_rng.normal(0.0, self.explore_scale, size=self.control_dim)
-                u_next = np.clip(u_next, self.action_low, self.action_high)
+                u_next = u_next.clip(self.action_low, self.action_high)
             else:
                 u_next = self._optimize(t, u_k)
             self.pool.add(self._features(u_next, t), model.step(u_next, t))

@@ -355,15 +355,22 @@ class QuadraticCmpProcess(ProcessModel):
 
     def __init__(self, params: QuadraticCmpParams):
         self.params = params
+        self._noise_sd = np.array([params.noise1, params.noise2])
         super().__init__(params.T, [params.coeffs1[0], params.coeffs2[0]])
 
     @staticmethod
-    def quad_features(u: np.ndarray) -> np.ndarray:
-        """[1, u1, u2, u3, u1^2, u2^2, u3^2, u1 u2, u1 u3, u2 u3]"""
-        u1, u2, u3 = u
-        return np.array(
-            [1.0, u1, u2, u3, u1 * u1, u2 * u2, u3 * u3, u1 * u2, u1 * u3, u2 * u3]
-        )
+    def quad_terms(u1: float, u2: float, u3: float) -> list:
+        """[1, u1, u2, u3, u1^2, u2^2, u3^2, u1 u2, u1 u3, u2 u3] of Python floats.
+
+        A product of Python floats rounds as a float64 product does, so an
+        array built from this list has the bits of one built from numpy scalars.
+        """
+        return [1.0, u1, u2, u3, u1 * u1, u2 * u2, u3 * u3, u1 * u2, u1 * u3, u2 * u3]
+
+    @classmethod
+    def quad_features(cls, u) -> np.ndarray:
+        """The ``quad_terms`` of a length-3 action, an array or a list, as a float64 array."""
+        return np.array(cls.quad_terms(*(u.tolist() if isinstance(u, np.ndarray) else u)))
 
     def mean_response(self, u: np.ndarray, t: int) -> np.ndarray:
         f = self.quad_features(np.asarray(u, dtype=float))
@@ -373,10 +380,9 @@ class QuadraticCmpProcess(ProcessModel):
         )
 
     def _draw_path(self, u, t0):
-        p = self.params
-        eps = self._rng.standard_normal((len(u), 2)) * np.array([p.noise1, p.noise2])
-        y = [self.mean_response(u[i], t0 + i) + eps[i] for i in range(len(u))]
-        return np.array(y), None, None
+        eps = self._rng.standard_normal((len(u), 2)) * self._noise_sd
+        mean = np.array([self.mean_response(u[i], t0 + i) for i in range(len(u))])
+        return mean + eps, None, None
 
 
 class _AdditiveControlProcess(ProcessModel):

@@ -219,9 +219,15 @@ def test_quadratic_fast_path_hits_reachable_target_without_minimize(minimize_cal
     assert minimize_calls == []
 
 
-def test_quadratic_unreachable_target_falls_back_to_multistart(minimize_calls):
-    from r2rcontrol.controllers import _quad_objective
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+
+def test_quadratic_unreachable_target_falls_back_to_multistart(minimize_calls):
+    from r2rcontrol.controllers import _QUAD_STENCIL, _quad_objective
+
+    stencil = _QUAD_STENCIL.copy()
     rng = make_rng(44, tag="quad-fallback")
     theta = rng.normal(0, 1.0, size=(11, 2))
     theta[4:7] += 1.0
@@ -233,6 +239,134 @@ def test_quadratic_unreachable_target_falls_back_to_multistart(minimize_calls):
     fun = _quad_objective(theta, y_star, 3)
     cand = rng.uniform(-3.0, 3.0, size=(10_000, 3))
     assert fun(u)[0] <= min(fun(c)[0] for c in cand) + 1e-8
+
+    # the starts, in order: the clipped warm start, then the clipped stencil rows
+    warm = np.array([4.0, -0.25, -9.0])
+    for warm_start, first in ((warm, [np.clip(warm, -0.75, 0.75)]), (None, [])):
+        minimize_calls.clear()
+        u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic",
+                                    bounds=(-0.75, 0.75), warm_start=warm_start)
+        expected = first + list(np.clip(stencil, -0.75, 0.75))
+        assert len(minimize_calls) == len(expected)
+        assert all(_same_bits(got, want) for got, want in zip(minimize_calls, expected))
+        u[:] = 7.0
+    assert _same_bits(_QUAD_STENCIL, stencil)
+    assert _same_bits(warm, [4.0, -0.25, -9.0])
+
+
+def test_quadratic_action_does_not_share_memory_with_the_stencil(minimize_calls):
+    from r2rcontrol.controllers import _QUAD_STENCIL, _quadratic_features
+
+    stencil = _QUAD_STENCIL.copy()
+    theta = make_rng(45, tag="quad-alias").normal(0, 1.0, size=(11, 2))
+    y_star = _quadratic_features(np.zeros(3), 3) @ theta  # the stencil's origin is an exact hit
+    u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic", bounds=(-3.0, 3.0))
+    assert minimize_calls == []
+    assert _same_bits(u, np.zeros(3))
+    u[:] = 7.0
+    assert _same_bits(_QUAD_STENCIL, stencil)
+
+
+# ---------------------------------------------------------------------------
+# per-call helpers: the same bits as the numpy builders they replace
+# ---------------------------------------------------------------------------
+
+
+def _reference_quad_features(u):
+    u1, u2, u3 = u
+    return np.array([1.0, u1, u2, u3, u1 * u1, u2 * u2, u3 * u3, u1 * u2, u1 * u3, u2 * u3])
+
+
+def _reference_quadratic_features(u, t):
+    return np.concatenate([_reference_quad_features(u), [float(t)]])
+
+
+def _reference_quad_residual(theta, y_star, t, u):
+    r = _reference_quadratic_features(u, t) @ theta - y_star
+    u1, u2, u3 = u
+    jac_f = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [2 * u1, 0.0, 0.0],
+            [0.0, 2 * u2, 0.0],
+            [0.0, 0.0, 2 * u3],
+            [u2, u1, 0.0],
+            [u3, 0.0, u1],
+            [0.0, u3, u2],
+        ]
+    )
+    return r, jac_f.T @ theta[:-1]
+
+
+_EDGE_ACTIONS = [
+    [-0.0, 0.0, -0.0],
+    [1e150, -1e150, 0.5],
+    [5e-324, -5e-324, -0.0],
+    [-1e150, 2.2250738585072014e-308, 1e150],
+]
+
+
+def test_feature_vectors_and_residual_match_the_numpy_scalar_builders():
+    from r2rcontrol.controllers import _quad_residual, _quadratic_features
+
+    rng = make_rng(46, tag="feature-bits")
+    actions = [*rng.normal(0.0, 3.0, size=(200, 3)), *np.array(_EDGE_ACTIONS)]
+    for i, u in enumerate(actions):
+        theta = rng.normal(0.0, 1.0, size=(11, 2))
+        y_star = rng.normal(0.0, 10.0, size=2)
+        t = 1 + i % 30
+        assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
+        assert _same_bits(_quadratic_features(u, t), _reference_quadratic_features(u, t))
+        for got, want in zip(_quad_residual(theta, y_star, t, u), _reference_quad_residual(theta, y_star, t, u)):
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("u", [[0.3, -0.7, 1.1], *_EDGE_ACTIONS, [2, -3, 0]])
+def test_quad_features_accepts_a_list(u):
+    assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
+    u = np.array(u, dtype=float)
+    assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
+
+
+def _system(rng, n, cond):
+    """A random n x n float64 matrix with 2-norm condition number ``cond``."""
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q1 * np.logspace(0.0, -np.log10(cond), n)) @ q2.T
+
+
+def test_solve_matches_numpy_solve_bit_for_bit():
+    from r2rcontrol.controllers import _solve
+
+    rng = make_rng(47, tag="solve-bits")
+    for n in range(2, 12):
+        for cond in (1.0, 1e3, 1e7, 1e11, 1e14):
+            for _ in range(5):
+                a = _system(rng, n, cond)
+                for b in (rng.normal(size=n), rng.normal(size=(n, 2)), rng.normal(size=(n, 1))):
+                    assert _same_bits(_solve(a, b), np.linalg.solve(a, b))
+    # the pooled fit's Gram and X'y are strided column views of one array
+    pool = _PooledFit(11, 2)
+    for _ in range(40):
+        pool.add(rng.normal(size=11), rng.normal(size=2))
+    assert not pool.gram.flags.c_contiguous
+    assert _same_bits(_solve(pool.gram, pool.xty), np.linalg.solve(pool.gram, pool.xty))
+    assert _same_bits(_solve(pool.gram, pool.xty[:, 0]), np.linalg.solve(pool.gram, pool.xty[:, 0]))
+
+
+@pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))], ids=["rank_one", "zero"])
+def test_solve_raises_on_an_exactly_singular_matrix(a):
+    from r2rcontrol.controllers import _solve
+
+    a = np.array(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (np.ones(len(a)), np.ones((len(a), 2))):
+            with pytest.raises(np.linalg.LinAlgError):
+                _solve(a, b)
 
 
 # ---------------------------------------------------------------------------
