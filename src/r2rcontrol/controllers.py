@@ -24,42 +24,17 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import operator
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import optimize
 
-from .errors import ConfigError, PeriodAbortError
+from .errors import ConfigError, PeriodAbortError, integer, number, positive
 from .estimation import VARIANCE_FORMS, PgsDistributionParams, fit_pgs_params, ridged_gram
 from .processes import ProcessModel, QuadraticCmpProcess, SamplePath, simulate_path
 from .rng import derive_int_seed, make_rng
 
 log = logging.getLogger(__name__)
-
-
-def _number(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _positive(name: str, value) -> float:
-    value = _number(name, value)
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _at_least_one(name: str, value) -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
-    return value
 
 
 class Controller:
@@ -166,7 +141,7 @@ class EwmaController(Controller):
         if np.linalg.matrix_rank(self.B) < self.B.shape[0]:
             raise ConfigError("gain matrix has no right inverse")
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
-        self.lam = _number("lambda_ewma", lambda_ewma)
+        self.lam = number("lambda_ewma", lambda_ewma)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda_ewma must lie in [0, 1]")
         self.a_init = None if a_init is None else np.atleast_1d(np.asarray(a_init, dtype=float))
@@ -197,8 +172,8 @@ class GhrController(Controller):
             raise ConfigError("process gain b must be nonzero")
         self.b = float(b)
         self.y_star = float(np.atleast_1d(y_star)[0])
-        self.c = _number("ghr_c", ghr_c)
-        self.s = _number("ghr_s", ghr_s)
+        self.c = number("ghr_c", ghr_c)
+        self.s = number("ghr_s", ghr_s)
         self.a_init = float(a_init)
 
     def reset(self, model, seed):
@@ -433,8 +408,8 @@ class _ModelFitController(Controller):
         self.control_dim = control_dim
         self.output_dim = output_dim
         self.model_family = model_family
-        self.action_low = _number("action_low", action_low)
-        self.action_high = _number("action_high", action_high)
+        self.action_low = number("action_low", action_low)
+        self.action_high = number("action_high", action_high)
         if not self.action_low < self.action_high:
             raise ConfigError(f"action_low {self.action_low!r} must be below action_high {self.action_high!r}")
         if model_family == "linear":
@@ -471,10 +446,10 @@ class RlAlg1Controller(_ModelFitController):
     def __init__(self, y_star, control_dim: int, output_dim: int, *, epsilon: float = 1.0, eta: float = 1.0,
                  max_inner_iters: int = 20, explore_scale: float = 1.0, **model_fit):
         super().__init__(y_star, control_dim, output_dim, **model_fit)
-        self.epsilon = _positive("epsilon", epsilon)
-        self.eta = _positive("eta", eta)
-        self.max_inner_iters = _at_least_one("max_inner_iters", max_inner_iters)
-        self.explore_scale = _positive("explore_scale", explore_scale)
+        self.epsilon = positive("epsilon", epsilon)
+        self.eta = positive("eta", eta)
+        self.max_inner_iters = integer("max_inner_iters", max_inner_iters)
+        self.explore_scale = positive("explore_scale", explore_scale)
         self.paths_run = 0
 
     def reset(self, model, seed):
@@ -527,7 +502,7 @@ class OapeController(_ModelFitController):
 
     def __init__(self, y_star, control_dim: int, output_dim: int, *, offline_action_spread: float = 1.0, **model_fit):
         super().__init__(y_star, control_dim, output_dim, **model_fit)
-        self.offline_action_spread = _positive("offline_action_spread", offline_action_spread)
+        self.offline_action_spread = positive("offline_action_spread", offline_action_spread)
 
     def prepare(self, model, n_learning_paths, master_seed, replication):
         self.learn_offline(
@@ -575,12 +550,12 @@ class RlPgsController(Controller):
         self.params = params
         self.y_star = float(np.atleast_1d(y_star)[0])
         self.variance_form = variance_form
-        self.alpha_step = _positive("alpha_step", alpha_step)
-        self.eta = _positive("eta", eta)
-        self.max_inner_iters = _at_least_one("max_inner_iters", max_inner_iters)
-        self.guard_bound = _positive("guard_bound", guard_bound)
-        self.n_offline_paths = _at_least_one("n_offline_paths", n_offline_paths)
-        self.offline_action_spread = _positive("offline_action_spread", offline_action_spread)
+        self.alpha_step = positive("alpha_step", alpha_step)
+        self.eta = positive("eta", eta)
+        self.max_inner_iters = integer("max_inner_iters", max_inner_iters)
+        self.guard_bound = positive("guard_bound", guard_bound)
+        self.n_offline_paths = integer("n_offline_paths", n_offline_paths)
+        self.offline_action_spread = positive("offline_action_spread", offline_action_spread)
         self.offline_store: list[SamplePath] = []
 
     def prepare(self, model, n_learning_paths, master_seed, replication):

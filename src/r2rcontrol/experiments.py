@@ -13,16 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import controller_from_config
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .estimation import RatioMoments
 from .harness import (
+    BOXPLOT_HEADER,
     ExperimentConfig,
     boxplot_rows,
     compare_controllers,
     error_ratio_series,
     run_replications,
     summarize,
-    write_boxplot_csv,
     write_csv,
 )
 from .processes import process_from_config, simulate_path
@@ -45,6 +45,26 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
+def _presets(names, seed: int, replications: int, threads: int, **overrides) -> list[ExperimentConfig]:
+    """The configs of ``names`` at a protocol's seed, replication count and thread count."""
+    common = dict(master_seed=seed, replications=replications, threads=threads, **overrides)
+    return [preset_config(name, **common) for name in names]
+
+
+def _write_report(out_dir, name: str, report: dict, tables=dict) -> None:
+    """Write ``<name>.json`` and the CSV tables under ``out_dir``; nothing when it is unset.
+
+    ``tables()`` maps a file name to its (header, rows); it is called only when writing.
+    """
+    if not out_dir:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for file, (header, rows) in tables().items():
+        write_csv(out / file, header, rows)
+    (out / f"{name}.json").write_text(json.dumps(report, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Table protocols
 # ---------------------------------------------------------------------------
@@ -60,22 +80,8 @@ def table1_experiment(
     """RL versus OAPE mean/std of final-path MSE over a grid of N."""
     rows = []
     for n in n_grid:
-        rl_cfg = preset_config(
-            "cmp_rl",
-            master_seed=seed,
-            replications=replications,
-            n_learning_paths=int(n),
-            threads=threads,
-        )
-        oape_cfg = preset_config(
-            "cmp_oape",
-            master_seed=seed,
-            replications=replications,
-            n_learning_paths=int(n),
-            threads=threads,
-        )
-        rl = summarize(run_replications(rl_cfg))
-        oape = summarize(run_replications(oape_cfg))
+        configs = _presets(("cmp_rl", "cmp_oape"), seed, replications, threads, n_learning_paths=int(n))
+        rl, oape = (summarize(run_replications(cfg)) for cfg in configs)
         rows.append(
             {
                 "n_paths": int(n),
@@ -86,26 +92,21 @@ def table1_experiment(
             }
         )
     report = {"seed": seed, "replications": replications, "rows": rows}
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        header = ["n_paths", "rl_mean_mse", "oape_mean_mse", "rl_std_mse", "oape_std_mse"]
-        write_csv(out / "table1.csv", header, [[r[k] for k in header] for r in rows])
-        (out / "table1.json").write_text(json.dumps(report, indent=2) + "\n")
+    header = ["n_paths", "rl_mean_mse", "oape_mean_mse", "rl_std_mse", "oape_std_mse"]
+    _write_report(out_dir, "table1", report, lambda: {"table1.csv": (header, rows)})
     return report
 
 
 def table2_experiment(seed: int, replications: int = 30, out_dir=None, threads: int = 1) -> dict:
-    """No-control versus policy-gradient control on the Wiener and gamma processes."""
+    """No-control versus policy-gradient control on the Wiener and gamma processes.
+
+    The ratio of standard deviations needs at least two replications.
+    """
+    integer("table2 replications", replications, low=2)
     rows = {}
-    for case, null_name, pgs_name in (
-        ("wiener", "wiener_null", "wiener_pgs"),
-        ("gamma", "gamma_null", "gamma_pgs"),
-    ):
-        null_cfg = preset_config(null_name, master_seed=seed, replications=replications, threads=threads)
-        pgs_cfg = preset_config(pgs_name, master_seed=seed, replications=replications, threads=threads)
-        null_stats = summarize(run_replications(null_cfg))
-        pgs_stats = summarize(run_replications(pgs_cfg))
+    for case in ("wiener", "gamma"):
+        configs = _presets((f"{case}_null", f"{case}_pgs"), seed, replications, threads)
+        null_stats, pgs_stats = (summarize(run_replications(cfg)) for cfg in configs)
         rows[case] = {
             "no_control_mean_mse": null_stats.mean_mse,
             "no_control_std_mse": null_stats.std_mse,
@@ -115,14 +116,11 @@ def table2_experiment(seed: int, replications: int = 30, out_dir=None, threads: 
             "std_ratio": pgs_stats.std_mse / null_stats.std_mse,
         }
     report = {"seed": seed, "replications": replications, "cases": rows}
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        columns = ["no_control_mean_mse", "rl_mean_mse", "mean_ratio",
-                   "no_control_std_mse", "rl_std_mse", "std_ratio"]
-        table = [[case] + [r[k] for k in columns] for case, r in rows.items()]
-        write_csv(out / "table2.csv", ["case", *columns], table)
-        (out / "table2.json").write_text(json.dumps(report, indent=2) + "\n")
+    columns = ["no_control_mean_mse", "rl_mean_mse", "mean_ratio",
+               "no_control_std_mse", "rl_std_mse", "std_ratio"]
+    _write_report(out_dir, "table2", report, lambda: {
+        "table2.csv": (["case", *columns], [{"case": case, **r} for case, r in rows.items()])
+    })
     return report
 
 
@@ -136,44 +134,29 @@ def figure2_experiment(
 ) -> dict:
     """Per-path-index total-cost distributions: RL controller versus known-parameter EWMA."""
     report = {"seed": seed, "replications": replications, "n_paths": n_paths}
-    for label, preset in (("rl", "cmp_rl"), ("ewma", "cmp_ewma")):
-        cfg = preset_config(
-            preset,
-            master_seed=seed,
-            replications=replications,
-            n_learning_paths=n_paths,
-            threads=threads,
-        )
-        results = run_replications(cfg)
-        mat = np.array([r.per_path_costs for r in results])
-        rows = boxplot_rows(mat)
+    boxplots = {}
+    configs = _presets(("cmp_rl", "cmp_ewma"), seed, replications, threads, n_learning_paths=n_paths)
+    for label, cfg in zip(("rl", "ewma"), configs):
+        costs = np.array([r.per_path_costs for r in run_replications(cfg)])
+        rows = boxplots[f"figure2_{label}.csv"] = boxplot_rows(costs)
         report[label] = {
             "per_path_median": [r["median"] for r in rows],
             "final_median": rows[-1]["median"],
             "total_outliers": int(sum(r["n_outliers"] for r in rows)),
         }
-        if out_dir:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            write_boxplot_csv(rows, out / f"figure2_{label}.csv")
-    if out_dir:
-        (Path(out_dir) / "figure2.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(out_dir, "figure2", report, lambda: {f: (BOXPLOT_HEADER, rows) for f, rows in boxplots.items()})
     return report
 
 
 def figure5_experiment(seed: int, replications: int = 30, out_dir=None, threads: int = 1) -> dict:
     """GHR versus policy-gradient-search total-cost distributions on the ARIMA process."""
-    ghr_cfg = preset_config("arima_ghr", master_seed=seed, replications=replications, threads=threads)
-    pgs_cfg = preset_config("arima_pgs", master_seed=seed, replications=replications, threads=threads)
-    out_csv = None
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        out_csv = out / "figure5.csv"
-    report = compare_controllers([ghr_cfg, pgs_cfg], ["ghr", "rl_pgs"], out_path=out_csv)
+    labels = ["ghr", "rl_pgs"]
+    report = compare_controllers(_presets(("arima_ghr", "arima_pgs"), seed, replications, threads), labels)
     report["seed"] = seed
-    if out_dir:
-        (Path(out_dir) / "figure5.json").write_text(json.dumps(report, indent=2) + "\n")
+    columns = [report["controllers"][label]["costs"] for label in labels]
+    _write_report(out_dir, "figure5", report, lambda: {
+        "figure5.csv": (["replication", *labels], [[rep, *row] for rep, row in enumerate(zip(*columns))])
+    })
     return report
 
 
@@ -206,10 +189,7 @@ def quadratic_error_ratio_experiment(
         "max_ratio_y1": float(ratios[:, 0].max()),
         "max_ratio_y2": float(ratios[:, 1].max()),
     }
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "quadratic_error_ratios.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_report(out_dir, "quadratic_error_ratios", report)
     return report
 
 
@@ -268,10 +248,7 @@ def theory_check(
         "normal_approx_bound": dist.approx_error_bound,
     }
 
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "theory_report.json").write_text(json.dumps(report, indent=2) + "\n")
-        header = ["u", "cdf", "cdf_normal_approx", "pdf"]
-        write_csv(out / "theory_grid.csv", header, zip(grid, F, F_star, dist.pdf(grid)))
+    _write_report(out_dir, "theory_report", report, lambda: {
+        "theory_grid.csv": (["u", "cdf", "cdf_normal_approx", "pdf"], zip(grid, F, F_star, dist.pdf(grid)))
+    })
     return report

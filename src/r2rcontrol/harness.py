@@ -15,7 +15,6 @@ not matter.
 from __future__ import annotations
 
 import json
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .controllers import controller_from_config
-from .errors import ConfigError, DimensionError, R2RError, UndefinedRatioError
+from .errors import ConfigError, DimensionError, R2RError, UndefinedRatioError, finite_array, integer
 from .processes import SamplePath, process_from_config, simulate_path
 from .rng import derive_int_seed
 
@@ -92,22 +91,11 @@ class ExperimentConfig:
         for name in ("process", "controller"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a mapping, got {getattr(self, name)!r}")
-        for name in ("replications", "n_learning_paths", "master_seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("replications", 1), ("n_learning_paths", 1), ("threads", 1), ("master_seed", 0)):
+            setattr(self, name, integer(name, getattr(self, name), low))
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        for name, low in (("replications", 1), ("n_learning_paths", 1), ("threads", 1), ("master_seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        try:
-            y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float))
-            if not np.all(np.isfinite(y_star)):  # null becomes nan
-                raise ValueError
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"y_star must be finite numbers, got {self.y_star!r}") from exc
-        self.y_star = list(y_star)
+        self.y_star = list(finite_array("y_star", self.y_star))
 
     def validate_dimensions(self) -> None:
         model = process_from_config(self.process)
@@ -219,7 +207,8 @@ def _write_lines(out_path, header: list[str], lines) -> None:
 
 
 def write_csv(out_path, header: list[str], rows) -> None:
-    """One line per row: numbers formatted with ``FLOAT_FMT``, strings as they are."""
+    """One line per row, a sequence or a mapping keyed by ``header``: numbers in ``FLOAT_FMT``, strings verbatim."""
+    rows = ([row[k] for k in header] if isinstance(row, dict) else row for row in rows)
     _write_lines(out_path, header, (",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows))
 
 
@@ -242,6 +231,9 @@ def write_paths_csv(results: list[RunResult], out_path) -> None:
         line = ",".join([str(rep), "%d", *[FLOAT_FMT] * values.shape[1]]) + ("," if path.d is None else "")
         lines += [line % (t, *row) for t, row in enumerate(values.tolist(), start=1)]
     _write_lines(out_path, header, lines)
+
+
+BOXPLOT_HEADER = ["path_index", "q1", "median", "q3", "whisker_low", "whisker_high", "n_outliers"]
 
 
 def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
@@ -269,8 +261,7 @@ def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
 
 def write_boxplot_csv(rows: list[dict], out_path) -> None:
     """Write :func:`boxplot_rows` output as CSV."""
-    header = ["path_index", "q1", "median", "q3", "whisker_low", "whisker_high", "n_outliers"]
-    write_csv(out_path, header, [[row[k] for k in header] for row in rows])
+    write_csv(out_path, BOXPLOT_HEADER, rows)
 
 
 def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = None) -> SummaryStats:
@@ -310,7 +301,7 @@ def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = N
     return stats
 
 
-def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_path=None) -> dict:
+def compare_controllers(configs: list[ExperimentConfig], labels: list[str]) -> dict:
     """Paired per-replication costs for controllers sharing process, target, seeds."""
     base = configs[0]
     for cfg in configs[1:]:
@@ -322,17 +313,12 @@ def compare_controllers(configs: list[ExperimentConfig], labels: list[str], out_
         ):
             raise ConfigError("compared controllers must share process, target, and seeds")
     report = {"labels": list(labels), "controllers": {}}
-    cost_columns = []
     for cfg, label in zip(configs, labels):
         results = run_replications(cfg)
         costs = np.array([r.total_cost for r in results])
-        cost_columns.append(costs)
         box = boxplot_rows(costs[:, None])[0]
         report["controllers"][label] = {
             "costs": costs.tolist(),
             **{k: box[k] for k in ("median", "q1", "q3", "n_outliers")},
         }
-    if out_path is not None:
-        rows = [[rep] + [col[rep] for col in cost_columns] for rep in range(base.replications)]
-        write_csv(out_path, ["replication", *labels], rows)
     return report

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, HorizonError, NonFiniteActionError
+from .errors import (
+    ConfigError, DimensionError, HorizonError, NonFiniteActionError, finite_array, integer, number, positive,
+)
 from .rng import make_rng
 
 DEFAULT_CONTROL_GAIN = -1.0
@@ -79,18 +81,17 @@ class LinearCmpParams:
     T: int = 30
 
     def __post_init__(self):
-        self.A = np.atleast_1d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        self.Lambda = np.atleast_2d(np.asarray(self.Lambda, dtype=float))
+        self.A = finite_array("A", self.A)
+        self.B = finite_array("B", self.B, ndmin=2)
+        self.delta = finite_array("delta", self.delta)
+        self.Lambda = finite_array("Lambda", self.Lambda, ndmin=2)
+        self.T = integer("T", self.T)
         m_y = self.A.shape[0]
         if self.B.shape[0] != m_y or self.delta.shape[0] != m_y:
             raise DimensionError("A, B, delta must share the output dimension")
         if self.Lambda.shape != (m_y, m_y):
             raise DimensionError("Lambda must be m_y x m_y")
         _check_psd(self.Lambda, "Lambda")
-        if self.T < 1:
-            raise ConfigError("horizon T must be >= 1")
 
 
 @dataclass
@@ -103,12 +104,12 @@ class ArimaProcessParams:
     T: int = 80
 
     def __post_init__(self):
+        self.a, self.b = number("a", self.a), number("b", self.b)
+        self.phi, self.theta = number("phi", self.phi), number("theta", self.theta)
         if not (0.0 < self.phi < 1.0 and 0.0 < self.theta < 1.0):
             raise ConfigError("phi and theta must lie strictly inside (0, 1)")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if self.T < 1:
-            raise ConfigError("horizon T must be >= 1")
+        self.sigma = positive("sigma", self.sigma)
+        self.T = integer("T", self.T)
 
 
 @dataclass
@@ -122,14 +123,13 @@ class QuadraticCmpParams:
     T: int = 30
 
     def __post_init__(self):
-        self.coeffs1 = np.asarray(self.coeffs1, dtype=float)
-        self.coeffs2 = np.asarray(self.coeffs2, dtype=float)
+        self.coeffs1 = finite_array("coeffs1", self.coeffs1, ndmin=0)
+        self.coeffs2 = finite_array("coeffs2", self.coeffs2, ndmin=0)
         if self.coeffs1.shape != (10,) or self.coeffs2.shape != (10,):
             raise DimensionError("quadratic responses need 10 coefficients each")
-        if self.noise1 <= 0 or self.noise2 <= 0:
-            raise ConfigError("noise std devs must be positive")
-        if self.T < 1:
-            raise ConfigError("horizon T must be >= 1")
+        self.drift1, self.drift2 = number("drift1", self.drift1), number("drift2", self.drift2)
+        self.noise1, self.noise2 = positive("noise1", self.noise1), positive("noise2", self.noise2)
+        self.T = integer("T", self.T)
 
 
 @dataclass
@@ -141,10 +141,10 @@ class WienerParams:
     control_gain: float = DEFAULT_CONTROL_GAIN
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if self.T < 1:
-            raise ConfigError("horizon T must be >= 1")
+        self.y0, self.v = number("y0", self.y0), number("v", self.v)
+        self.sigma = positive("sigma", self.sigma)
+        self.T = integer("T", self.T)
+        self.control_gain = number("control_gain", self.control_gain)
 
 
 @dataclass
@@ -159,10 +159,12 @@ class GammaParams:
     beta_is_rate: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
-        if self.T < 1:
-            raise ConfigError("horizon T must be >= 1")
+        self.alpha, self.beta = positive("alpha", self.alpha), positive("beta", self.beta)
+        self.y0 = number("y0", self.y0)
+        self.T = integer("T", self.T)
+        self.control_gain = number("control_gain", self.control_gain)
+        if not isinstance(self.beta_is_rate, bool):
+            raise ConfigError(f"beta_is_rate must be true or false, got {self.beta_is_rate!r}")
 
     @property
     def scale(self) -> float:

@@ -2,8 +2,9 @@
 
 The digests were recorded from small runs of the presets and protocols
 below (numpy 2.4, scipy 1.17, OpenBLAS on x86-64), and agree between one
-and two BLAS threads.  The preset runs, ``figure2`` and ``figure5`` are
-written once more with two worker processes, and must give the same bytes.
+and two BLAS threads.  The preset runs, ``table1``, ``figure2`` and
+``figure5`` are written once more with two worker processes, and must give
+the same bytes.  A protocol run without an output directory writes nothing.
 ``gamma_pgs``, and hence ``table2``, are left out:
 their online PGS paths abort with ``PeriodAbortError`` on some seeds (see
 the open ``FOUND`` line in CHANGES.md), so a small run of them is not a
@@ -11,12 +12,17 @@ stable fixture.
 """
 
 import hashlib
+import pathlib
+
+import pytest
 
 from r2rcontrol.experiments import (
     figure2_experiment,
     figure5_experiment,
     preset_config,
     quadratic_error_ratio_experiment,
+    table1_experiment,
+    table2_experiment,
     theory_check,
 )
 from r2rcontrol.harness import run_experiment
@@ -84,6 +90,8 @@ EXPECTED = {
     "gamma_null/paths.csv": "cdc941baadbc4ccce1fea58c65a7458de8d857f150d7bce155f5cc9a8ba6646f",
     "gamma_null/summary.json": "a3918f59a18940330c79298aec650dcb828b4f4047fc0ca92a5d7a9e45477e46",
     "quadratic/quadratic_error_ratios.json": "68835f503cf0ed60b612f455adf1298c8672ec0de4c01cf69bbdad37671bc551",
+    "table1/table1.csv": "67f16e00c4e95569b8fb91285ad5dc9595d38d2b982fe2a400f9ea195023c1dc",
+    "table1/table1.json": "947d2d3b4db70282d523ab048627fbab176a62999f0fa3e81f23a51b738a2044",
     "theory/theory_grid.csv": "a0750b2239a1882ff3c643c40232dd99ea1efa6d1bc48c4264d477c19a3b3084",
     "theory/theory_report.json": "1f4f2779964a95d297716c01a99b0774ebbbbab054e906ef97ecb0b9db11039b",
     "wiener_null/audit/0.json": "d1c683af442710540e7e902559c568d42c1196ef023176a31e779afd91fdc060",
@@ -109,6 +117,7 @@ def write_artifacts(root, threads=1) -> dict:
         n_paths = min(preset_config(preset).n_learning_paths, 4)
         run_experiment(preset_config(preset, replications=3, n_learning_paths=n_paths, threads=threads,
                                      output_dir=str(root / name), **swap))
+    table1_experiment(SEED, replications=3, n_grid=(2, 4), out_dir=root / "table1", threads=threads)
     figure2_experiment(SEED, replications=3, n_paths=4, out_dir=root / "figure2", threads=threads)
     figure5_experiment(SEED, replications=3, out_dir=root / "figure5", threads=threads)
     if threads == 1:
@@ -136,3 +145,26 @@ def test_parallel_artifacts_match_recorded_digests(tmp_path):
     serial_only = ("quadratic/", "theory/")
     _assert_recorded(write_artifacts(tmp_path, threads=2),
                      {k: v for k, v in EXPECTED.items() if not k.startswith(serial_only)})
+
+
+# every protocol at a small size, without an output directory
+UNWRITTEN = {
+    "table1": lambda: table1_experiment(SEED, replications=2, n_grid=(2,)),
+    "table2": lambda: table2_experiment(1, replications=2),  # a seed whose gamma PGS paths do not abort
+    "figure2": lambda: figure2_experiment(SEED, replications=2, n_paths=2),
+    "figure5": lambda: figure5_experiment(SEED, replications=2),
+    "quadratic": lambda: quadratic_error_ratio_experiment(SEED, n_learning_paths=1, n_eval_paths=1),
+    "theory": lambda: theory_check(SEED, n_bound_trials=50, rate_replications=5, ks_draws=500),
+}
+
+
+@pytest.mark.parametrize("protocol", UNWRITTEN)
+def test_protocol_without_out_dir_writes_nothing(protocol, tmp_path, monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"{protocol} wrote {path} without an output directory")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pathlib.Path, "write_text", refuse)
+    monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
+    assert isinstance(UNWRITTEN[protocol](), dict)
+    assert list(tmp_path.iterdir()) == []

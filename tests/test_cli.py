@@ -111,6 +111,16 @@ MALFORMED = [
     ("arima_ghr", 'controller.kind="ewma"'),
     ("arima_ghr", 'controller.kind="oracle"'),
     ("wiener_null", 'controller.kind="ghr"'),
+    ("arima_ghr", "process.T=2.5"),
+    ("arima_ghr", "process.T=true"),
+    ("wiener_null", "process.sigma=NaN"),
+    ("wiener_null", "process.y0=NaN"),
+    ("gamma_null", "process.alpha=NaN"),
+    ("quadratic_cmp_rl", "process.noise1=NaN"),
+    ("gamma_null", "process.beta=Infinity"),
+    ("arima_ghr", 'process.phi="0.5"'),
+    ("cmp_rl", "controller.max_inner_iters=true"),
+    ("arima_ghr", "controller.ghr_c=NaN"),
 ]
 
 
@@ -123,9 +133,9 @@ def test_malformed_override_is_config_error(preset, override, config_file, tmp_p
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if override.startswith("controller."):
-        # the message names the controller key that was bad
-        assert override[len("controller."):].split("=")[0] in err
+    if override.startswith(("controller.", "process.")):
+        # the message names the controller or process key that was bad
+        assert override.split("=")[0].split(".")[-1] in err
 
 
 NEGATIVE_SEED = {
@@ -182,6 +192,14 @@ def test_theory_check_smoke(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert "wiener" in report["cases"] and "gamma" in report["cases"]
+
+
+def test_table2_with_one_replication_is_config_error(tmp_path, capsys):
+    # a ratio of standard deviations needs two replications a side
+    assert main(["table2", "--replications", "1", "--out", str(tmp_path / "t2")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "replications must be >= 2" in err
+    assert "Traceback" not in err
 
 
 def test_replications_flag_overrides_config(config_file, tmp_path):
