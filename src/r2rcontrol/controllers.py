@@ -174,6 +174,8 @@ class GhrController(Controller):
         self.y_star = float(np.atleast_1d(y_star)[0])
         self.c = number("ghr_c", ghr_c)
         self.s = number("ghr_s", ghr_s)
+        if self.s <= -1.0:  # s > -1 keeps t + s positive from period 1 on
+            raise ConfigError(f"ghr_s must be > -1, got {ghr_s!r}")
         self.a_init = float(a_init)
 
     def reset(self, model, seed):

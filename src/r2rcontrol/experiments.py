@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -20,10 +19,11 @@ from .harness import (
     ExperimentConfig,
     boxplot_rows,
     compare_controllers,
+    csv_text,
     error_ratio_series,
     run_replications,
     summarize,
-    write_csv,
+    write_report,
 )
 from .processes import process_from_config, simulate_path
 from .ratio_normal import RatioDistribution
@@ -51,18 +51,10 @@ def _presets(names, seed: int, replications: int, threads: int, **overrides) -> 
     return [preset_config(name, **common) for name in names]
 
 
-def _write_report(out_dir, name: str, report: dict, tables=dict) -> None:
-    """Write ``<name>.json`` and the CSV tables under ``out_dir``; nothing when it is unset.
-
-    ``tables()`` maps a file name to its (header, rows); it is called only when writing.
-    """
-    if not out_dir:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for file, (header, rows) in tables().items():
-        write_csv(out / file, header, rows)
-    (out / f"{name}.json").write_text(json.dumps(report, indent=2) + "\n")
+def _report_files(name: str, report: dict, tables: dict) -> dict:
+    """``<name>.json`` and each CSV table (file name -> (header, rows)), as texts for :func:`write_report`."""
+    files = {file: csv_text(header, rows) for file, (header, rows) in tables.items()}
+    return {**files, f"{name}.json": json.dumps(report, indent=2) + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +85,7 @@ def table1_experiment(
         )
     report = {"seed": seed, "replications": replications, "rows": rows}
     header = ["n_paths", "rl_mean_mse", "oape_mean_mse", "rl_std_mse", "oape_std_mse"]
-    _write_report(out_dir, "table1", report, lambda: {"table1.csv": (header, rows)})
+    write_report(out_dir, lambda: _report_files("table1", report, {"table1.csv": (header, rows)}))
     return report
 
 
@@ -118,9 +110,9 @@ def table2_experiment(seed: int, replications: int = 30, out_dir=None, threads: 
     report = {"seed": seed, "replications": replications, "cases": rows}
     columns = ["no_control_mean_mse", "rl_mean_mse", "mean_ratio",
                "no_control_std_mse", "rl_std_mse", "std_ratio"]
-    _write_report(out_dir, "table2", report, lambda: {
+    write_report(out_dir, lambda: _report_files("table2", report, {
         "table2.csv": (["case", *columns], [{"case": case, **r} for case, r in rows.items()])
-    })
+    }))
     return report
 
 
@@ -138,13 +130,14 @@ def figure2_experiment(
     configs = _presets(("cmp_rl", "cmp_ewma"), seed, replications, threads, n_learning_paths=n_paths)
     for label, cfg in zip(("rl", "ewma"), configs):
         costs = np.array([r.per_path_costs for r in run_replications(cfg)])
-        rows = boxplots[f"figure2_{label}.csv"] = boxplot_rows(costs)
+        rows = boxplot_rows(costs)
+        boxplots[f"figure2_{label}.csv"] = (BOXPLOT_HEADER, rows)
         report[label] = {
             "per_path_median": [r["median"] for r in rows],
             "final_median": rows[-1]["median"],
             "total_outliers": int(sum(r["n_outliers"] for r in rows)),
         }
-    _write_report(out_dir, "figure2", report, lambda: {f: (BOXPLOT_HEADER, rows) for f, rows in boxplots.items()})
+    write_report(out_dir, lambda: _report_files("figure2", report, boxplots))
     return report
 
 
@@ -154,9 +147,9 @@ def figure5_experiment(seed: int, replications: int = 30, out_dir=None, threads:
     report = compare_controllers(_presets(("arima_ghr", "arima_pgs"), seed, replications, threads), labels)
     report["seed"] = seed
     columns = [report["controllers"][label]["costs"] for label in labels]
-    _write_report(out_dir, "figure5", report, lambda: {
+    write_report(out_dir, lambda: _report_files("figure5", report, {
         "figure5.csv": (["replication", *labels], [[rep, *row] for rep, row in enumerate(zip(*columns))])
-    })
+    }))
     return report
 
 
@@ -189,7 +182,7 @@ def quadratic_error_ratio_experiment(
         "max_ratio_y1": float(ratios[:, 0].max()),
         "max_ratio_y2": float(ratios[:, 1].max()),
     }
-    _write_report(out_dir, "quadratic_error_ratios", report)
+    write_report(out_dir, lambda: _report_files("quadratic_error_ratios", report, {}))
     return report
 
 
@@ -248,7 +241,7 @@ def theory_check(
         "normal_approx_bound": dist.approx_error_bound,
     }
 
-    _write_report(out_dir, "theory_report", report, lambda: {
+    write_report(out_dir, lambda: _report_files("theory_report", report, {
         "theory_grid.csv": (["u", "cdf", "cdf_normal_approx", "pdf"], zip(grid, F, F_star, dist.pdf(grid)))
-    })
+    }))
     return report

@@ -7,6 +7,9 @@ Artifacts per experiment (under ``output_dir``):
 * ``boxplot.csv``  -- per-path-index total-cost quartiles and 1.5*IQR whiskers
 * ``audit/<rep>.json`` -- per-replication convergence diagnostics
 
+:func:`write_report` writes them, and every protocol's report: it is the one
+function that creates a directory or writes a file.  The formatters return text.
+
 Re-running with the same master seed reproduces every artifact
 byte-for-byte; replications are keyed by index, so execution order does
 not matter.
@@ -95,7 +98,10 @@ class ExperimentConfig:
             setattr(self, name, integer(name, getattr(self, name), low))
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        self.y_star = list(finite_array("y_star", self.y_star))
+        y_star = finite_array("y_star", self.y_star)
+        if y_star.ndim != 1:
+            raise ConfigError(f"y_star must be a flat list of numbers, got {self.y_star!r}")
+        self.y_star = list(y_star)
 
     def validate_dimensions(self) -> None:
         model = process_from_config(self.process)
@@ -187,33 +193,47 @@ def run_replications(config: ExperimentConfig) -> list[RunResult]:
 # ---------------------------------------------------------------------------
 
 
-def summarize(results: list[RunResult], baseline_mean_mse: float | None = None) -> SummaryStats:
+def summarize(results: list[RunResult]) -> SummaryStats:
     mses = np.array([r.mse for r in results])
     costs = np.array([r.total_cost for r in results])
     q = np.percentile(costs, [0, 25, 50, 75, 100])
-    ratio = None if baseline_mean_mse is None else float(mses.mean() / baseline_mean_mse)
     return SummaryStats(
         mean_mse=float(mses.mean()),
         std_mse=float(mses.std(ddof=1)) if len(results) > 1 else 0.0,
         mean_cost=float(costs.mean()),
         std_cost=float(costs.std(ddof=1)) if len(results) > 1 else 0.0,
         quartiles=[float(v) for v in q],
-        ratio_vs_baseline=ratio,
     )
 
 
-def _write_lines(out_path, header: list[str], lines) -> None:
-    Path(out_path).write_text("\n".join([",".join(header), *lines]) + "\n")
+def write_report(out_dir, files) -> None:
+    """Write every text ``files()`` maps a relative path to, under ``out_dir``; nothing when it is unset.
+
+    ``files`` is called only when writing, so a caller can leave work that
+    only its artifacts need inside it.  Each directory is created once.
+    """
+    if not out_dir:
+        return
+    out = Path(out_dir)
+    texts = files()
+    for folder in sorted({name.rpartition("/")[0] for name in texts}):
+        (out / folder).mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
 
 
-def write_csv(out_path, header: list[str], rows) -> None:
+def _csv_lines(header: list[str], lines) -> str:
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def csv_text(header: list[str], rows) -> str:
     """One line per row, a sequence or a mapping keyed by ``header``: numbers in ``FLOAT_FMT``, strings verbatim."""
     rows = ([row[k] for k in header] if isinstance(row, dict) else row for row in rows)
-    _write_lines(out_path, header, (",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows))
+    return _csv_lines(header, (",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) for row in rows))
 
 
-def write_paths_csv(results: list[RunResult], out_path) -> None:
-    """The final path of every replication, as :func:`write_csv` would write its rows."""
+def paths_csv_text(results: list[RunResult]) -> str:
+    """The final path of every replication, as :func:`csv_text` would format its rows."""
     first = results[0].path
     m_u = first.u.shape[1]
     m_y = first.y.shape[1]
@@ -230,7 +250,7 @@ def write_paths_csv(results: list[RunResult], out_path) -> None:
         # one template a replication: t prints as an integer, and without disturbances the d field is empty
         line = ",".join([str(rep), "%d", *[FLOAT_FMT] * values.shape[1]]) + ("," if path.d is None else "")
         lines += [line % (t, *row) for t, row in enumerate(values.tolist(), start=1)]
-    _write_lines(out_path, header, lines)
+    return _csv_lines(header, lines)
 
 
 BOXPLOT_HEADER = ["path_index", "q1", "median", "q3", "whisker_low", "whisker_high", "n_outliers"]
@@ -259,45 +279,37 @@ def boxplot_rows(cost_matrix: np.ndarray) -> list[dict]:
     return rows
 
 
-def write_boxplot_csv(rows: list[dict], out_path) -> None:
-    """Write :func:`boxplot_rows` output as CSV."""
-    write_csv(out_path, BOXPLOT_HEADER, rows)
+def _run_artifacts(config: ExperimentConfig, results: list[RunResult], stats: SummaryStats) -> dict:
+    """The text of every artifact of a run, keyed by its path under ``output_dir``."""
+    n_paths = min(len(r.per_path_costs) for r in results)
+    costs = np.array([r.per_path_costs[:n_paths] for r in results])
+    summary = {
+        "version": __version__,
+        "master_seed": config.master_seed,
+        "replications": config.replications,
+        "n_learning_paths": config.n_learning_paths,
+        "process": config.process,
+        "controller": config.controller,
+        "y_star": list(config.y_star),
+        "stats": stats.to_dict(),
+    }
+    docs = {"summary.json": summary}
+    for rep, res in enumerate(results):
+        docs[f"audit/{rep}.json"] = {"replication": rep, "total_cost": res.total_cost, "mse": res.mse,
+                                     "per_path_costs": res.per_path_costs, "diagnostics": res.diagnostics}
+    return {
+        "paths.csv": paths_csv_text(results),
+        "boxplot.csv": csv_text(BOXPLOT_HEADER, boxplot_rows(costs)),
+        **{name: json.dumps(doc, indent=2, sort_keys=True) + "\n" for name, doc in docs.items()},
+    }
 
 
-def run_experiment(config: ExperimentConfig, baseline_mean_mse: float | None = None) -> SummaryStats:
-    """Run all replications and persist artifacts if output_dir is set."""
+def run_experiment(config: ExperimentConfig) -> SummaryStats:
+    """Run all replications, and write their artifacts if ``output_dir`` is set."""
     config.validate_dimensions()
     results = run_replications(config)
-    stats = summarize(results, baseline_mean_mse)
-    if config.output_dir:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_paths_csv(results, out / "paths.csv")
-        n_paths = min(len(r.per_path_costs) for r in results)
-        costs = np.array([r.per_path_costs[:n_paths] for r in results])
-        write_boxplot_csv(boxplot_rows(costs), out / "boxplot.csv")
-        summary = {
-            "version": __version__,
-            "master_seed": config.master_seed,
-            "replications": config.replications,
-            "n_learning_paths": config.n_learning_paths,
-            "process": config.process,
-            "controller": config.controller,
-            "y_star": list(config.y_star),
-            "stats": stats.to_dict(),
-        }
-        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        audit = out / "audit"
-        audit.mkdir(exist_ok=True)
-        for rep, res in enumerate(results):
-            payload = {
-                "replication": rep,
-                "total_cost": res.total_cost,
-                "mse": res.mse,
-                "per_path_costs": res.per_path_costs,
-                "diagnostics": res.diagnostics,
-            }
-            (audit / f"{rep}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    stats = summarize(results)
+    write_report(config.output_dir, lambda: _run_artifacts(config, results, stats))
     return stats
 
 

@@ -170,10 +170,6 @@ class GammaParams:
     def scale(self) -> float:
         return 1.0 / self.beta if self.beta_is_rate else self.beta
 
-    @property
-    def mean_increment(self) -> float:
-        return self.alpha * self.scale
-
 
 # ---------------------------------------------------------------------------
 # Simulators

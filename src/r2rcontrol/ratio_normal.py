@@ -201,11 +201,6 @@ class RatioDistribution:
         else:
             self._m = m
 
-    @property
-    def sign_convention(self) -> str:
-        """``"b_negative"`` when mu2 < 0, else ``"b_positive"``."""
-        return "b_negative" if self._flip else "b_positive"
-
     # internal Hinkley pieces for the (possibly sign-flipped) moments -------
 
     def _abc(self, u, u_sq):

@@ -4,7 +4,8 @@ The digests were recorded from small runs of the presets and protocols
 below (numpy 2.4, scipy 1.17, OpenBLAS on x86-64), and agree between one
 and two BLAS threads.  The preset runs, ``table1``, ``figure2`` and
 ``figure5`` are written once more with two worker processes, and must give
-the same bytes.  A protocol run without an output directory writes nothing.
+the same bytes.  A preset or protocol run without an output directory
+writes nothing.
 ``gamma_pgs``, and hence ``table2``, are left out:
 their online PGS paths abort with ``PeriodAbortError`` on some seeds (see
 the open ``FOUND`` line in CHANGES.md), so a small run of them is not a
@@ -147,8 +148,9 @@ def test_parallel_artifacts_match_recorded_digests(tmp_path):
                      {k: v for k, v in EXPECTED.items() if not k.startswith(serial_only)})
 
 
-# every protocol at a small size, without an output directory
+# a preset run and every protocol at a small size, without an output directory
 UNWRITTEN = {
+    "run": lambda: run_experiment(preset_config("arima_ghr", replications=2)).to_dict(),
     "table1": lambda: table1_experiment(SEED, replications=2, n_grid=(2,)),
     "table2": lambda: table2_experiment(1, replications=2),  # a seed whose gamma PGS paths do not abort
     "figure2": lambda: figure2_experiment(SEED, replications=2, n_paths=2),

@@ -121,6 +121,8 @@ MALFORMED = [
     ("arima_ghr", 'process.phi="0.5"'),
     ("cmp_rl", "controller.max_inner_iters=true"),
     ("arima_ghr", "controller.ghr_c=NaN"),
+    ("arima_ghr", "controller.ghr_s=-21"),
+    ("arima_ghr", "y_star=[[90]]"),
 ]
 
 
@@ -133,8 +135,8 @@ def test_malformed_override_is_config_error(preset, override, config_file, tmp_p
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if override.startswith(("controller.", "process.")):
-        # the message names the controller or process key that was bad
+    if override.startswith(("controller.", "process.", "y_star=")):
+        # the message names the controller, process or target key that was bad
         assert override.split("=")[0].split(".")[-1] in err
 
 

@@ -1,6 +1,7 @@
 """Tests for metrics, the replication runner, and artifact persistence."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from r2rcontrol.harness import (
     run_replication,
     run_replications,
     summarize,
+    paths_csv_text,
     total_cost,
-    write_paths_csv,
+    write_report,
 )
 from r2rcontrol.processes import SamplePath
 from r2rcontrol.rng import derive_int_seed, make_rng
@@ -193,13 +195,11 @@ def test_artifacts_reproduce_byte_for_byte(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_paths_csv_schema(tmp_path):
+def test_paths_csv_schema():
     cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": "ewma"},
                            y_star=Y_STAR, replications=2, master_seed=7)
     results = run_replications(cfg)
-    f = tmp_path / "paths.csv"
-    write_paths_csv(results, f)
-    lines = f.read_text().splitlines()
+    lines = paths_csv_text(results).splitlines()
     assert lines[0] == "replication,t,u_1,u_2,u_3,y_1,y_2,d"
     assert len(lines) == 1 + 2 * CMP_PROCESS["T"]
 
@@ -222,7 +222,7 @@ def _value_by_value_paths_csv(results) -> bytes:
     (CMP_PROCESS, {"kind": "ewma"}),
     (ARIMA_PROCESS, {"kind": "null"}),
 ], ids=["linear_cmp", "arima"])
-def test_paths_csv_bytes_match_value_by_value_formatting(tmp_path, process, controller):
+def test_paths_csv_bytes_match_value_by_value_formatting(process, controller):
     cfg = ExperimentConfig(process=process, controller=controller,
                            y_star=Y_STAR if process is CMP_PROCESS else [90.0], replications=3, master_seed=7)
     results = run_replications(cfg)
@@ -237,10 +237,33 @@ def test_paths_csv_bytes_match_value_by_value_formatting(tmp_path, process, cont
     assert (path.d is None) == (process is CMP_PROCESS)
     if path.d is not None:
         path.d[0] = 2.0 / 3.0
-    f = tmp_path / "paths.csv"
-    write_paths_csv(results, f)
-    assert f.read_bytes() == _value_by_value_paths_csv(results)
-    assert "0.30000000000000004" in f.read_text()
+    text = paths_csv_text(results)
+    assert text.encode() == _value_by_value_paths_csv(results)
+    assert "0.30000000000000004" in text
+
+
+@pytest.mark.parametrize("out_dir", [None, ""], ids=["none", "empty"])
+def test_write_report_without_out_dir_never_builds_files(out_dir):
+    def files():
+        raise AssertionError("files() was called without an output directory")
+
+    write_report(out_dir, files)
+
+
+def test_write_report_makes_each_directory_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = pathlib.Path.mkdir
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+    out = tmp_path / "out"
+    texts = {"a.csv": "x\n", "audit/0.json": "{}\n", "audit/1.json": "[]\n", "b.json": "1\n"}
+    write_report(out, lambda: texts)
+    assert sorted(made) == [out, out / "audit"]
+    assert {p.relative_to(out).as_posix(): p.read_text() for p in out.rglob("*") if p.is_file()} == texts
 
 
 def test_audit_files_written(tmp_path):

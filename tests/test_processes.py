@@ -199,9 +199,8 @@ def test_wiener_increment_moments():
 def test_gamma_rate_vs_scale_interpretation():
     rate = GammaParams(alpha=0.36, beta=0.64, beta_is_rate=True)
     scale = GammaParams(alpha=0.36, beta=0.64, beta_is_rate=False)
-    assert rate.mean_increment == pytest.approx(0.36 / 0.64)
-    assert scale.mean_increment == pytest.approx(0.36 * 0.64)
     assert rate.scale == pytest.approx(1.0 / 0.64)
+    assert scale.scale == pytest.approx(0.64)
 
 
 def test_gamma_increments_nonnegative_without_control():

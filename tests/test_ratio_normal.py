@@ -205,7 +205,6 @@ def test_negative_gain_sign_flip_consistency():
     # u = X1/X2 with mu2 < 0 equals -(X1/(-X2)); both paths must agree
     m = RatioMoments(0.8, -1.8, 0.3, 0.15, -0.02)
     d = RatioDistribution(m)
-    assert d.sign_convention == "b_negative"
     flipped = RatioDistribution(RatioMoments(0.8, 1.8, 0.3, 0.15, 0.02))
     grid = np.linspace(-3, 3, 61)
     np.testing.assert_allclose(d.cdf(grid), 1.0 - flipped.cdf(-grid), atol=1e-12)
