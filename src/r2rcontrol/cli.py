@@ -21,13 +21,9 @@ PRESETS = {
 }
 
 
-def _out_dir(args) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get("R2R_OUTPUT_DIR")
-    if env:
-        return env
-    return "r2r-output"
+def _out_dir(args, configured=None) -> str:
+    """``--out``, else ``$R2R_OUTPUT_DIR``, else the config's ``output_dir``, else ``r2r-output``."""
+    return args.out or os.environ.get("R2R_OUTPUT_DIR") or configured or "r2r-output"
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
@@ -57,7 +53,7 @@ def _load_config(args) -> ExperimentConfig:
         raw["threads"] = args.threads
     if args.replications is not None:
         raw["replications"] = args.replications
-    raw["output_dir"] = _out_dir(args)
+    raw["output_dir"] = _out_dir(args, raw.get("output_dir"))
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:

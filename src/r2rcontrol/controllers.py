@@ -73,7 +73,7 @@ class Controller:
             self.act(model, t)
             ys.append(model.commit())
             us.append(model.u_committed)
-            ds.append(model.last_disturbance)
+            ds.append(model.d_committed)
         d = None if ds[0] is None else np.asarray(ds, dtype=float)
         return SamplePath(u=np.array(us), y=np.array(ys), d=d, y0=model.y0, seed=seed)
 

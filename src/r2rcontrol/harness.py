@@ -8,7 +8,8 @@ Artifacts per experiment (under ``output_dir``):
 * ``audit/<rep>.json`` -- per-replication convergence diagnostics
 
 :func:`write_report` writes them, and every protocol's report: it is the one
-function that creates a directory or writes a file.  The formatters return text.
+function that creates a directory, writes a file or deletes one.  The
+formatters return text.  A rerun into the same ``output_dir`` replaces ``audit/``.
 
 Re-running with the same master seed reproduces every artifact
 byte-for-byte; replications are keyed by index, so execution order does
@@ -210,7 +211,9 @@ def write_report(out_dir, files) -> None:
     """Write every text ``files()`` maps a relative path to, under ``out_dir``; nothing when it is unset.
 
     ``files`` is called only when writing, so a caller can leave work that
-    only its artifacts need inside it.  Each directory is created once.
+    only its artifacts need inside it.  Each directory is created once.  A
+    subdirectory written to keeps no file ``files()`` does not name, so a
+    rerun leaves no stale ``audit/<rep>.json``; top-level files are left alone.
     """
     if not out_dir:
         return
@@ -218,6 +221,9 @@ def write_report(out_dir, files) -> None:
     texts = files()
     for folder in sorted({name.rpartition("/")[0] for name in texts}):
         (out / folder).mkdir(parents=True, exist_ok=True)
+        for old in (out / folder).iterdir() if folder else ():
+            if f"{folder}/{old.name}" not in texts and old.is_file():
+                old.unlink()
     for name, text in texts.items():
         (out / name).write_text(text)
 

@@ -6,12 +6,15 @@ state at t-1 without advancing; ``commit()`` promotes the most recent
 draw to the committed state.  A feedback controller's ``act`` calls
 ``step`` once or, to try several actions within one period, repeatedly;
 ``Controller.run_path`` then calls ``commit`` once per period and records
-the committed action, output and (ARIMA only) disturbance.  A path whose
-actions are fixed before period 1 (no control, random or oracle actions)
-goes through ``run_open_loop`` instead, which draws the whole path's noise
-at once.  Both run through the family's one output equation,
-``_draw_path(u, t0)``: ``step`` is its one-row case, so the two give the
-same bits.
+the committed action, output and disturbance (``d_committed``, None outside
+ARIMA).  A path whose actions are fixed before period 1 (no control, random
+or oracle actions) goes through ``run_open_loop`` instead, which draws the
+whole path's noise at once.  ``reset``, ``commit`` and ``run_open_loop`` set
+the committed record through one function.  A family supplies one hook, its
+output equation ``_draw_path(u, t0)``, which reads the committed state and
+returns its successor, and one constant, its state before period 1
+(``initial_state``).  ``step`` is the one-row case of ``_draw_path``, so a
+stepped and an open-loop path give the same bits.
 
 Families:
 
@@ -182,6 +185,7 @@ class ProcessModel:
     control_dim: int
     output_dim: int
     family: str
+    initial_state = None  # the family's disturbance state before period 1
 
     def __init__(self, horizon: int, y0):
         self.T = int(horizon)
@@ -191,14 +195,17 @@ class ProcessModel:
     def reset(self, seed: int) -> None:
         self.seed = int(seed)
         self._rng = make_rng(self.seed, tag=self.family)
-        self.period = 0
-        self.y_committed = self.y0.copy()
-        self.u_committed = np.zeros(self.control_dim)
-        self._pending = None
-        self._reset_state()
+        self._promote(0, np.zeros((1, self.control_dim)), self.y0[None], None, self.initial_state)
 
-    def _reset_state(self) -> None:  # family-specific disturbance state
-        pass
+    def _promote(self, period: int, u: np.ndarray, y: np.ndarray, d, state) -> None:
+        """Commit the last row of a draw as period ``period``: its action, output,
+        disturbance (None before period 1 or for a family without one) and state."""
+        self.period = period
+        self.u_committed = u[-1].copy()
+        self.y_committed = y[-1].copy()
+        self.d_committed = None if d is None else float(d[-1])
+        self._state = state
+        self._pending = None
 
     def _check_step(self, u: np.ndarray, t: int) -> np.ndarray:
         u = np.array(u, dtype=float, ndmin=1, copy=None)
@@ -219,23 +226,18 @@ class ProcessModel:
 
     def step(self, u, t: int) -> np.ndarray:
         """Draw y_t from the committed t-1 state; repeatable, does not advance."""
-        u = self._check_step(u, t)
-        y, _, state = self._draw_path(u[None], t)
-        y = y[0]
-        self._pending = (u, y, state)
-        return y
+        u = self._check_step(u, t)[None]
+        y, d, state = self._draw_path(u, t)
+        self._pending = (u, y, d, state)
+        return y[0]
 
     def commit(self) -> np.ndarray:
         """Promote the latest draw to the committed state, advancing one period."""
         if self._pending is None:
             raise HorizonError("no pending draw to commit")
-        u, y, state = self._pending
-        self.period += 1
-        self.y_committed = y.copy()
-        self.u_committed = u.copy()
-        self._commit_state(state)
-        self._pending = None
-        return y
+        u, y, d, state = self._pending
+        self._promote(self.period + 1, u, y, d, state)
+        return y[0]
 
     def run_open_loop(self, u) -> tuple[np.ndarray, np.ndarray | None]:
         """Run periods 1..T under actions fixed in advance, ``u`` of shape (T, m_u).
@@ -259,10 +261,7 @@ class ProcessModel:
         if self.period != 0 or self._pending is not None:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
         y, d, state = self._draw_path(u, 1)
-        self.period = self.T
-        self.y_committed = y[-1].copy()
-        self.u_committed = u[-1].copy()
-        self._commit_state(state)
+        self._promote(self.T, u, y, d, state)
         return y, d
 
     # family-specific -------------------------------------------------------
@@ -270,16 +269,9 @@ class ProcessModel:
     def _draw_path(self, u: np.ndarray, t0: int):
         """Periods t0..t0+len(u)-1 under actions ``u`` from the committed state.
 
-        Returns (outputs, disturbances or None, the last period's state).
+        Returns (outputs, disturbances or None, the successor of ``self._state``).
         """
         raise NotImplementedError
-
-    def _commit_state(self, state) -> None:
-        pass
-
-    @property
-    def last_disturbance(self) -> float | None:
-        return None
 
 
 class LinearCmpProcess(ProcessModel):
@@ -314,19 +306,15 @@ class ArimaProcess(ProcessModel):
     family = "arima"
     control_dim = 1
     output_dim = 1
+    initial_state = (0.0, 0.0, 0.0)  # d_0, dd_0, w_0
 
     def __init__(self, params: ArimaProcessParams):
         self.params = params
         super().__init__(params.T, params.a)
 
-    def _reset_state(self):
-        self._d = 0.0
-        self._dd = 0.0
-        self._w = 0.0
-
     def _draw_path(self, u, t0):
         p = self.params
-        d, dd, w_prev = self._d, self._dd, self._w
+        d, dd, w_prev = self._state
         ds = []
         for w in self._rng.normal(0.0, p.sigma, size=len(u)).tolist():
             dd = p.phi * dd + w - p.theta * w_prev
@@ -335,13 +323,6 @@ class ArimaProcess(ProcessModel):
             w_prev = w
         ds = np.array(ds)
         return (p.a + p.b * u[:, 0] + ds)[:, None], ds, (d, dd, w_prev)
-
-    def _commit_state(self, state):
-        self._d, self._dd, self._w = state
-
-    @property
-    def last_disturbance(self):
-        return self._d
 
 
 class QuadraticCmpProcess(ProcessModel):

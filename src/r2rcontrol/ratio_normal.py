@@ -259,32 +259,29 @@ class RatioDistribution:
         # not 0 and 1, as u runs to +-inf
         return np.where(np.isinf(u) | np.isinf(a), ndtr(np.copysign(m.mu2 / m.sigma2, u)), vals)
 
+    def _evaluate(self, piece, u, complement: bool):
+        """``piece`` at u, or at -u with the sign flip (then 1 - value for a CDF).
+
+        The far tails overflow on purpose: the private pieces above replace
+        those entries by their limits.
+        """
+        u = np.asarray(u, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = piece(-u if self._flip else u)
+        if complement and self._flip:
+            vals = 1.0 - vals
+        return float(vals) if vals.ndim == 0 else vals
+
     # public surface --------------------------------------------------------
 
-    # The far tails overflow on purpose: the private pieces above replace
-    # those entries by their limits.
-
     def pdf(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._pdf_pos(-u if self._flip else u)
-        return float(out) if out.ndim == 0 else out
+        return self._evaluate(self._pdf_pos, u, complement=False)
 
     def cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = _blockwise(self._cdf_pos, -u if self._flip else u)
-        if self._flip:
-            vals = 1.0 - vals
-        return float(vals) if vals.ndim == 0 else vals
+        return self._evaluate(lambda v: _blockwise(self._cdf_pos, v), u, complement=True)
 
     def cdf_normal_approx(self, u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = self._approx_pos(-u if self._flip else u)
-        if self._flip:
-            vals = 1.0 - vals
-        return float(vals) if vals.ndim == 0 else vals
+        return self._evaluate(self._approx_pos, u, complement=True)
 
     @property
     def approx_error_bound(self) -> float:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import r2rcontrol
+from r2rcontrol import experiments
 from r2rcontrol.cli import main
 
 
@@ -178,6 +180,33 @@ def test_env_var_output_dir(config_file, tmp_path, monkeypatch, capsys):
     assert (env_dir / "summary.json").is_file()
 
 
+@pytest.mark.parametrize("configured, env, out, expect", [
+    (None, None, None, "r2r-output"),
+    ("from-config", None, None, "from-config"),
+    ("from-config", "from-env", None, "from-env"),
+    ("from-config", "from-env", "from-out", "from-out"),
+], ids=["default", "config", "env_over_config", "out_over_env"])
+def test_output_dir_precedence(configured, env, out, expect, tmp_path, monkeypatch, capsys):
+    # --out, then $R2R_OUTPUT_DIR, then the config's output_dir, then r2r-output
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("R2R_OUTPUT_DIR", raising=False)
+    else:
+        monkeypatch.setenv("R2R_OUTPUT_DIR", env)
+    (tmp_path / "exp.json").write_text(json.dumps({**CONFIG, "output_dir": configured}))
+    assert main(["run", "--config", "exp.json", *(["--out", out] if out else [])]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [expect]
+    assert (tmp_path / expect / "summary.json").is_file()
+
+
+def test_rerun_into_the_same_out_replaces_audit(config_file, tmp_path):
+    out = tmp_path / "out"
+    for reps in ("5", "3"):
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--replications", reps]) == 0
+    assert json.loads((out / "summary.json").read_text())["replications"] == 3
+    assert sorted(p.name for p in (out / "audit").iterdir()) == ["0.json", "1.json", "2.json"]
+
+
 def test_same_seed_reproduces_artifacts(config_file, tmp_path):
     blobs = []
     for name in ("a", "b"):
@@ -187,13 +216,22 @@ def test_same_seed_reproduces_artifacts(config_file, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_theory_check_smoke(tmp_path, capsys):
-    # trimmed preset battery would still be slow; just verify the command wiring
+def test_table2_preset_smoke(tmp_path, capsys):
     rc = main(["table2", "--replications", "2", "--out", str(tmp_path / "t2"),
                "--seed", "1"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert "wiener" in report["cases"] and "gamma" in report["cases"]
+
+
+def test_theory_check_writes_its_report(tmp_path, monkeypatch, capsys):
+    # the full battery takes minutes; the wiring is the same at small sizes
+    monkeypatch.setattr(experiments, "theory_check", functools.partial(
+        experiments.theory_check, n_bound_trials=50, rate_replications=4, ks_draws=500))
+    out = tmp_path / "theory"
+    assert main(["theory-check", "--seed", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["theory_grid.csv", "theory_report.json"]
+    assert capsys.readouterr().out == (out / "theory_report.json").read_text()
 
 
 def test_table2_with_one_replication_is_config_error(tmp_path, capsys):

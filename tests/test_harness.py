@@ -1,11 +1,13 @@
 """Tests for metrics, the replication runner, and artifact persistence."""
 
+import ast
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+import r2rcontrol
 from r2rcontrol.errors import ConfigError, DimensionError, PeriodAbortError, UndefinedRatioError
 from r2rcontrol.harness import (
     ExperimentConfig,
@@ -264,6 +266,50 @@ def test_write_report_makes_each_directory_once(tmp_path, monkeypatch):
     write_report(out, lambda: texts)
     assert sorted(made) == [out, out / "audit"]
     assert {p.relative_to(out).as_posix(): p.read_text() for p in out.rglob("*") if p.is_file()} == texts
+
+
+def test_write_report_replaces_each_subdirectory_it_writes(tmp_path):
+    out = tmp_path / "out"
+    write_report(out, lambda: {"a.csv": "x\n", "audit/0.json": "{}\n", "audit/1.json": "{}\n",
+                               "audit/2.json": "{}\n"})
+    (out / "notes.txt").write_text("kept\n")
+    (out / "audit" / "keep").mkdir()
+    write_report(out, lambda: {"b.csv": "y\n", "audit/0.json": "[]\n"})
+    # the rewritten folder holds only what the second report named, and no folder is deleted;
+    # top-level files, the first report's a.csv included, stay
+    assert sorted(p.name for p in (out / "audit").iterdir()) == ["0.json", "keep"]
+    assert (out / "audit" / "0.json").read_text() == "[]\n"
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["a.csv", "b.csv", "notes.txt"]
+
+
+WRITING_CALLS = {"mkdir", "makedirs", "write_text", "write_bytes", "touch", "unlink", "rmdir", "rmtree", "rename"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """A call that makes, writes or deletes a file or directory, ``open`` in a write mode included."""
+    func = call.func
+    if isinstance(func, ast.Attribute):  # Path.open(mode): the mode comes first
+        name, mode_at = func.attr, 0
+    else:  # open(file, mode)
+        name, mode_at = getattr(func, "id", None), 1
+    if name != "open":
+        return name in WRITING_CALLS
+    modes = call.args[mode_at:mode_at + 1] + [k.value for k in call.keywords if k.arg == "mode"]
+    # a mode that is not a literal counts as writing
+    return any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes)
+
+
+def test_write_report_is_the_only_code_that_touches_the_file_system():
+    found = []
+    for source in sorted(pathlib.Path(r2rcontrol.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        owner = {}
+        for node in ast.walk(tree):  # outer functions first, so an inner function claims its own calls
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((inner, node.name) for inner in ast.walk(node))
+        found += [(source.name, owner.get(node, "<module>"), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _writes(node)]
+    assert {(file, func) for file, func, _ in found} == {("harness.py", "write_report")}, found
 
 
 def test_audit_files_written(tmp_path):

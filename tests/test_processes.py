@@ -279,7 +279,7 @@ def test_open_loop_path_equals_step_commit_loop(family):
     for t in range(1, stepped.T + 1):
         stepped.step(u[t - 1], t)
         ys.append(stepped.commit())
-        ds.append(stepped.last_disturbance)
+        ds.append(stepped.d_committed)
     batched.reset(31)
     y, d = batched.run_open_loop(u)
     assert y.tobytes() == np.array(ys).tobytes()
