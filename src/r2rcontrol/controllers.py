@@ -237,12 +237,14 @@ class _PooledFit:
         self.aug = np.zeros((n_features, n_features + n_outputs))
         self.gram = self.aug[:, :n_features]
         self.xty = self.aug[:, n_features:]
+        self._outer = np.empty_like(self.aug)  # one sample's x [x' | y'], reused by every add
         self.n = 0
         self._s_min = 0.0
         self._s_max_bound = np.inf
 
     def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        self.aug += x[:, None] * np.concatenate((x, y))
+        np.multiply(x[:, None], np.concatenate((x, y)), out=self._outer)
+        self.aug += self._outer
         self._s_max_bound += x @ x
         self.n += 1
 

@@ -10,13 +10,44 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
+from .errors import integer
 from .estimation import RatioMoments
 from .rng import make_rng
+
+# Both checks draw and reduce their Monte Carlo arrays one block of rows at a
+# time, each block holding at most this many values (512 KB of float64), or
+# one row when a row is longer.  Peak memory is then a few blocks, whatever
+# the replication or trial count.
+_BLOCK_VALUES = 1 << 16
+
+
+def _row_blocks(n_rows: int, row_len: int):
+    """(start, stop) of consecutive blocks of rows of length ``row_len``, at most ``_BLOCK_VALUES`` values each."""
+    step = max(1, _BLOCK_VALUES // row_len)
+    for start in range(0, n_rows, step):
+        yield start, min(start + step, n_rows)
+
+
+def _skip_draws(bitgen: np.random.Philox, k: int) -> None:
+    """Move a Philox stream past ``k`` 64-bit draws in O(1), to where drawing them would leave it.
+
+    Philox makes four 64-bit values per counter step and buffers them.
+    ``advance`` moves the counter and discards the buffer, so the buffer is
+    used up first, and the draws past the last whole step are then made.
+    """
+    head = min(k, 4 - bitgen.state["buffer_pos"])
+    bitgen.random_raw(head, output=False)
+    k -= head
+    if k:
+        bitgen.advance(k // 4)
+        bitgen.random_raw(k % 4, output=False)
+
 
 # ---------------------------------------------------------------------------
 # Control-error probability bound
@@ -96,10 +127,6 @@ def analytic_bounds(moments: RatioMoments, eta: float) -> tuple[float, float]:
     )
 
 
-# rows of bound-check noise held at once: 20 MB at the largest battery design (2,500 samples)
-_NOISE_BLOCK_ROWS = 1000
-
-
 def theorem2_bound_check(
     config: BoundConfig, etas, n_trials: int, seed: int
 ) -> list[BoundReport]:
@@ -111,18 +138,20 @@ def theorem2_bound_check(
     |u_hat - u*| > eta; the output line checks the induced mean output
     error |b (u_hat - u*)| > eta.  All thresholds share one draw.
     """
+    n_trials = integer("n_trials", n_trials)
     rng = make_rng(seed, tag="theorem2")
     u = (rng.random(config.n_offline) - 0.5) * 2.0 * config.action_spread
     X = np.column_stack([u, np.ones_like(u)])
     moments = bound_moments(config, X)
     proj = np.linalg.solve(X.T @ X, X.T)  # (2, n)
-    # the noise is drawn and projected in row blocks, in stream order: a block's rows are the rows
-    # the whole (n_trials, n_offline) draw would hold, and each projected row is the same dot product
+    # The noise is drawn in row blocks, in stream order, so each block holds the rows the whole
+    # (n_trials, n_offline) draw would.  The GEMM's last bits depend on the block's row count, as
+    # they do on the BLAS thread count; a frequency moves only if an error lies within an ulp of eta.
     noise_proj = np.empty((n_trials, 2))
-    for start in range(0, n_trials, _NOISE_BLOCK_ROWS):
-        noise = rng.standard_normal((min(_NOISE_BLOCK_ROWS, n_trials - start), config.n_offline))
+    for start, stop in _row_blocks(n_trials, config.n_offline):
+        noise = rng.standard_normal((stop - start, config.n_offline))
         noise *= config.sigma
-        noise_proj[start : start + noise.shape[0]] = noise @ proj.T
+        noise_proj[start:stop] = noise @ proj.T
     theta_hat = np.array([config.b, config.c]) + noise_proj  # (n_trials, 2)
     u_hat = (config.y_star - theta_hat[:, 1]) / theta_hat[:, 0]
     u_star = (config.y_star - config.c) / config.b
@@ -202,32 +231,43 @@ def theorem1_rate_check(
     uniformly spread actions, fits (a, b) per replication, and regresses
     log variance on log N.  A slope of -1 is the expected 1/N decay.
     """
+    replications = integer("replications", replications, low=2)
+    periods = integer("periods", periods)
+    n_grid = [integer("n_grid", n) for n in n_grid]
     rng = make_rng(seed, tag="theorem1")
-    n_grid = [int(n) for n in n_grid]
     variances = np.empty((len(n_grid), 2))
     all_bias = []
     for i, n_paths in enumerate(n_grid):
         n = n_paths * periods
-        # built and centred in place, each operation in the order of
-        # u = (U - 0.5) * 2 * spread, y = a + b*u + e*sigma, u - ubar, y - ybar
-        u = rng.random((replications, n))
-        u -= 0.5
-        u *= 2.0
-        u *= action_spread
-        e = rng.standard_normal((replications, n))
-        e *= sigma
-        y = b * u
-        y += a
-        y += e
-        del e
-        ubar = u.mean(axis=1, keepdims=True)
-        ybar = y.mean(axis=1, keepdims=True)
-        u -= ubar
-        y -= ybar
-        su = np.sum(u**2, axis=1)
-        b_hat = np.sum(u * y, axis=1) / su
-        del u, y
-        a_hat = ybar.ravel() - b_hat * ubar.ravel()
+        # The stream draws all of u (replications x n uniforms, one 64-bit draw each) and then all
+        # of e.  A copy of the stream draws u block by block, while the stream skips u's draws and
+        # draws e: each block holds the rows the whole arrays would.
+        u_rng = copy.deepcopy(rng)
+        _skip_draws(rng.bit_generator, replications * n)
+        ubar = np.empty(replications)
+        ybar = np.empty(replications)
+        b_hat = np.empty(replications)
+        for start, stop in _row_blocks(replications, n):
+            # built and centred in place, each operation in the order of
+            # u = (U - 0.5) * 2 * spread, y = a + b*u + e*sigma, u - ubar, y - ybar;
+            # a row's reductions run along the row alone, whatever the block's row count
+            u = u_rng.random((stop - start, n))
+            u -= 0.5
+            u *= 2.0
+            u *= action_spread
+            e = rng.standard_normal((stop - start, n))
+            e *= sigma
+            y = b * u
+            y += a
+            y += e
+            u_mean = u.mean(axis=1, keepdims=True)
+            y_mean = y.mean(axis=1, keepdims=True)
+            u -= u_mean
+            y -= y_mean
+            b_hat[start:stop] = np.sum(u * y, axis=1) / np.sum(u**2, axis=1)
+            ubar[start:stop] = u_mean.ravel()
+            ybar[start:stop] = y_mean.ravel()
+        a_hat = ybar - b_hat * ubar
         est = np.column_stack([a_hat - a, b_hat - b])
         variances[i] = est.var(axis=0, ddof=1)
         all_bias.append(est)

@@ -1,8 +1,13 @@
 """Tests for the control-error bound and estimator-rate checkers."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from r2rcontrol import theory
+from r2rcontrol.errors import ConfigError
 from r2rcontrol.rng import make_rng
 from r2rcontrol.theory import (
     BoundConfig,
@@ -100,3 +105,111 @@ def test_rate_check_deterministic_in_seed():
     b = theorem1_rate_check([25, 50], replications=20, seed=23)
     np.testing.assert_array_equal(a.variances, b.variances)
     np.testing.assert_array_equal(a.slopes, b.slopes)
+
+
+# ---------------------------------------------------------------------------
+# degenerate sizes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, args, kwargs", [
+    ("replications", ([25, 50], 1, 3), {}),
+    ("n_grid", ([0, 25], 20, 3), {}),
+    ("periods", ([25, 50], 20, 3), {"periods": 0}),
+])
+def test_rate_check_rejects_degenerate_sizes(name, args, kwargs):
+    with pytest.raises(ConfigError, match=name):
+        theorem1_rate_check(*args, **kwargs)
+
+
+def test_bound_check_needs_one_trial():
+    with pytest.raises(ConfigError, match="n_trials"):
+        theorem2_bound_check(DEFAULT_BOUND_BATTERY[0], (0.5,), 0, 3)
+
+
+# ---------------------------------------------------------------------------
+# block-by-block drawing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("used", [0, 1, 2, 3])  # raw values taken before: buffer_pos 4, 1, 2, 3
+@pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 17, 400_003])
+def test_skip_draws_lands_where_drawing_uniforms_does(used, k):
+    drawn = make_rng(5, tag="skip")
+    drawn.bit_generator.random_raw(used)
+    skipped = copy.deepcopy(drawn.bit_generator)
+    drawn.random(k)  # the rate check skips its uniforms, one 64-bit draw each
+    theory._skip_draws(skipped, k)
+    np.testing.assert_array_equal(skipped.random_raw(16), drawn.bit_generator.random_raw(16))
+
+
+def _oracle_rate_estimates(n_grid, replications, seed, a=91.7, b=-1.8, sigma=1.0, periods=80, spread=1.0):
+    """theorem1_rate_check's per-replication (a_hat - a, b_hat - b), from whole arrays."""
+    rng = make_rng(seed, tag="theorem1")
+    out = []
+    for n_paths in n_grid:
+        n = n_paths * periods
+        u = (rng.random((replications, n)) - 0.5) * 2.0 * spread
+        y = b * u + a + rng.standard_normal((replications, n)) * sigma
+        ubar = u.mean(axis=1, keepdims=True)
+        ybar = y.mean(axis=1, keepdims=True)
+        u = u - ubar
+        y = y - ybar
+        b_hat = np.sum(u * y, axis=1) / np.sum(u**2, axis=1)
+        a_hat = ybar.ravel() - b_hat * ubar.ravel()
+        out.append(np.column_stack([a_hat - a, b_hat - b]))
+    return out
+
+
+def _oracle_bound_freqs(cfg, etas, n_trials, seed):
+    """theorem2_bound_check's (action, output) exceedance frequencies, from one whole noise draw."""
+    rng = make_rng(seed, tag="theorem2")
+    u = (rng.random(cfg.n_offline) - 0.5) * 2.0 * cfg.action_spread
+    X = np.column_stack([u, np.ones_like(u)])
+    proj = np.linalg.solve(X.T @ X, X.T)
+    theta_hat = np.array([cfg.b, cfg.c]) + (rng.standard_normal((n_trials, cfg.n_offline)) * cfg.sigma) @ proj.T
+    err = np.abs((cfg.y_star - theta_hat[:, 1]) / theta_hat[:, 0] - (cfg.y_star - cfg.c) / cfg.b)
+    return [(float(np.mean(err > eta)), float(np.mean(abs(cfg.b) * err > eta))) for eta in etas]
+
+
+def _rate_arrays(rep):
+    return [rep.variances, rep.slopes, rep.slope_se, rep.bias_mean, rep.bias_se]
+
+
+# 1 forces one-row blocks; 7,000 values make 3- and 1-row blocks of the 2,000- and
+# 4,000-value rate rows (ragged over 20 replications) and 35-row blocks of the
+# 200-sample bound design (ragged over 500 trials)
+@pytest.mark.parametrize("block_values", [1, 7000])
+def test_blocked_checks_match_default_blocks_and_whole_arrays(monkeypatch, block_values):
+    grid, reps, cfg, etas = [25, 50], 20, DEFAULT_BOUND_BATTERY[0], (0.1, 0.5, 1.0)
+    rate = theorem1_rate_check(grid, reps, seed=24)
+    bounds = [r.to_dict() for r in theorem2_bound_check(cfg, etas, 500, seed=25)]
+
+    oracle = _oracle_rate_estimates(grid, reps, seed=24)
+    np.testing.assert_array_equal(rate.variances, [est.var(axis=0, ddof=1) for est in oracle])
+    np.testing.assert_array_equal(rate.bias_mean, np.vstack(oracle).mean(axis=0))
+    assert [(d["empirical_freq_action"], d["empirical_freq_output"]) for d in bounds] == \
+        _oracle_bound_freqs(cfg, etas, 500, seed=25)
+
+    monkeypatch.setattr(theory, "_BLOCK_VALUES", block_values)
+    for got, want in zip(_rate_arrays(theorem1_rate_check(grid, reps, seed=24)), _rate_arrays(rate)):
+        np.testing.assert_array_equal(got, want)
+    assert [r.to_dict() for r in theorem2_bound_check(cfg, etas, 500, seed=25)] == bounds
+
+
+def _traced_peak_mb(fn, *args) -> float:
+    """Peak traced memory of one call, in MB (numpy reports its data buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_run_in_bounded_memory():
+    # the benchmark's sizes; whole arrays peaked at 36.6 and 19.2 MB
+    rate_peak = _traced_peak_mb(theorem1_rate_check, [25, 50, 100, 200, 400], 50, 26)
+    bound_peak = _traced_peak_mb(theorem2_bound_check, DEFAULT_BOUND_BATTERY[7], (0.1, 0.5, 1.0), 1000, 27)
+    assert rate_peak < 4.0
+    assert bound_peak < 4.0
