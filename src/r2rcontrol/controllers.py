@@ -105,7 +105,7 @@ def _oracle_actions(A, B, delta, y_star, T: int) -> np.ndarray:
     """The T solves of B u = y* - A - delta*t; each array comes as its (shape, bytes)."""
     A, B, delta, y_star = (np.frombuffer(data).reshape(shape) for shape, data in (A, B, delta, y_star))
     # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit
-    return np.array([np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)[0] for t in range(1, T + 1)])
+    return np.array([_lstsq(B, y_star - A - delta * t) for t in range(1, T + 1)])
 
 
 class RandomActionController(Controller):
@@ -213,6 +213,27 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
     return gufunc(a, b, signature="dd->d")
+
+
+def _raise_lstsq(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+_EPS = np.finfo(float).eps
+
+
+@np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a float64 (m, n) ``a`` with m >= 1 and a float64 (m,) ``b``.
+
+    Makes the LAPACK ``dgelsd`` call that ``np.linalg.lstsq`` makes, through
+    numpy's ``lstsq`` gufunc with ``b`` as one column, the default cut-off
+    eps * max(m, n) and the same error state.  So the minimum-norm solution
+    has the same bits; the checks, the residuals and the singular values the
+    wrapper also returns are skipped.
+    """
+    m, n = a.shape
+    return _umath_linalg.lstsq(a, b[:, None], _EPS * max(m, n), signature="ddd->ddid")[0][:, 0]
 
 
 # a pooled design with a larger 2-norm condition number is treated as rank-deficient
@@ -370,8 +391,7 @@ def rl_alg1_action_optimize(
         B_hat = theta2[1 : 1 + m_u].T
         delta_hat = theta2[-1]
         rhs = y_star - A_hat - delta_hat * t
-        u, *_ = np.linalg.lstsq(B_hat, rhs, rcond=None)
-        return u.clip(lo, hi)
+        return _lstsq(B_hat, rhs).clip(lo, hi)
     if model_family == "quadratic":
         first = _QUAD_STENCIL[0] if warm_start is None else np.asarray(warm_start, dtype=float)
         start = first.clip(lo, hi)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .controllers import controller_from_config
 from .errors import ConfigError, DimensionError, R2RError, UndefinedRatioError, finite_array, integer
-from .processes import SamplePath, process_from_config, simulate_path
+from .processes import ProcessModel, SamplePath, process_from_config, simulate_path
 from .rng import derive_int_seed
 
 FLOAT_FMT = "%.17g"  # 17 significant digits: byte-exact reproducibility
@@ -139,14 +139,19 @@ class SummaryStats:
 # ---------------------------------------------------------------------------
 
 
-def run_replication(config: ExperimentConfig, rep: int) -> RunResult:
+def run_replication(config: ExperimentConfig, rep: int, model: ProcessModel | None = None) -> RunResult:
     """Execute one replication with seeds derived from (master_seed, rep).
+
+    ``model`` is the run's process, built from ``config.process`` when not
+    given.  Every path starts with ``model.reset(seed)``, so a model shared
+    by the replications of a run gives the results a fresh one would.
 
     A toolkit error from offline learning or from a path is re-raised as
     the same type, its message prefixed with the replication, the path
     index and the path seed, so the failure can be re-run alone.
     """
-    model = process_from_config(config.process)
+    if model is None:
+        model = process_from_config(config.process)
     y_star = np.asarray(config.y_star, dtype=float)
     controller = controller_from_config(config.controller, model, y_star)
     per_path_costs = []
@@ -179,14 +184,15 @@ def _worker(args) -> tuple[int, RunResult]:
 
 
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
-    """All replications; the results do not depend on ``threads``."""
+    """All replications, serially on one process model; the results do not depend on ``threads``."""
     reps = range(config.replications)
     if config.threads > 1:
         cfg_dict = asdict(config)
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = dict(pool.map(_worker, [(cfg_dict, r) for r in reps]))
         return [results[r] for r in reps]
-    return [run_replication(config, r) for r in reps]
+    model = process_from_config(config.process)
+    return [run_replication(config, r, model) for r in reps]
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,13 @@ class LinearCmpProcess(ProcessModel):
     def _draw_path(self, u, t0):
         p = self.params
         z = self._rng.standard_normal((len(u), self.output_dim))
-        # row by row: a batched U @ B.T is a GEMM and may differ in the last bit
-        y = [p.A + p.B @ u[i] + p.delta * (t0 + i) + self._noise_factor @ z[i] for i in range(len(u))]
-        return np.array(y), None, None
+        if len(u) == 1:  # a step
+            return (p.A + p.B @ u[0] + p.delta * t0 + self._noise_factor @ z[0])[None], None, None
+        # stacked matrix-vector products: each slice is the GEMV of B @ u[i], where a U @ B.T
+        # would be one GEMM, which may differ in the last bit
+        t = np.arange(t0, t0 + len(u))
+        y = p.A + np.matmul(p.B, u[:, :, None])[:, :, 0] + p.delta * t[:, None]
+        return y + np.matmul(self._noise_factor, z[:, :, None])[:, :, 0], None, None
 
 
 class ArimaProcess(ProcessModel):

@@ -17,9 +17,26 @@ def _tag_to_int(tag: str) -> int:
     return zlib.crc32(tag.encode("utf-8"))
 
 
+def _entropy_words(*values) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` makes from the tuple of ``int(value)``s, built directly.
+
+    numpy splits each int into 32-bit words, least significant first, and
+    makes 0 one word; a ``uint32`` array is taken as it stands, so the
+    sequence is the same and numpy's per-int coercion is skipped.
+    """
+    words = []
+    for v in map(int, values):
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
 def derive_seed_sequence(master_seed: int, *, replication: int = 0, tag: str = "") -> np.random.SeedSequence:
     """Seed sequence keyed by (master_seed, replication, tag)."""
-    return np.random.SeedSequence(entropy=(int(master_seed), int(replication), _tag_to_int(tag)))
+    return np.random.SeedSequence(_entropy_words(master_seed, replication, _tag_to_int(tag)))
 
 
 def make_rng(master_seed: int, *, replication: int = 0, tag: str = "") -> np.random.Generator:
@@ -30,7 +47,5 @@ def make_rng(master_seed: int, *, replication: int = 0, tag: str = "") -> np.ran
 
 def derive_int_seed(master_seed: int, *, replication: int = 0, tag: str = "", index: int = 0) -> int:
     """Stable 63-bit integer seed keyed by (master_seed, replication, tag, index)."""
-    ss = np.random.SeedSequence(
-        entropy=(int(master_seed), int(replication), _tag_to_int(tag), int(index))
-    )
+    ss = np.random.SeedSequence(_entropy_words(master_seed, replication, _tag_to_int(tag), index))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

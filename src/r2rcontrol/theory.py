@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import integer
+from .errors import ConfigError, integer
 from .estimation import RatioMoments
 from .rng import make_rng
 
@@ -229,11 +229,15 @@ def theorem1_rate_check(
 
     Simulates N paths of ``periods`` samples from y = a + b*u + e with
     uniformly spread actions, fits (a, b) per replication, and regresses
-    log variance on log N.  A slope of -1 is the expected 1/N decay.
+    log variance on log N.  A slope of -1 is the expected 1/N decay.  The
+    fit needs two distinct N; with two grid points it is exact, no residual
+    degree of freedom is left, and ``slope_se`` is NaN.
     """
     replications = integer("replications", replications, low=2)
     periods = integer("periods", periods)
     n_grid = [integer("n_grid", n) for n in n_grid]
+    if len(set(n_grid)) < 2:
+        raise ConfigError(f"n_grid needs at least two distinct path counts, got {n_grid!r}")
     rng = make_rng(seed, tag="theorem1")
     variances = np.empty((len(n_grid), 2))
     all_bias = []
@@ -284,8 +288,8 @@ def theorem1_rate_check(
         A = np.column_stack([logn, np.ones_like(logn)])
         coef, res, _, _ = np.linalg.lstsq(A, logv, rcond=None)
         slopes[j] = coef[0]
-        dof = max(len(n_grid) - 2, 1)
-        s2 = (res[0] / dof) if res.size else 0.0
+        dof = len(n_grid) - 2
+        s2 = res[0] / dof if dof else np.nan
         slope_se[j] = float(np.sqrt(s2 * np.linalg.inv(A.T @ A)[0, 0]))
     return RateReport(
         n_grid=n_grid,

@@ -369,6 +369,39 @@ def test_solve_raises_on_an_exactly_singular_matrix(a):
                 _solve(a, b)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 4), (3, 5), (2, 2), (4, 2), (5, 3)])
+def test_lstsq_matches_numpy_lstsq_bit_for_bit(m, n):
+    from r2rcontrol.controllers import _lstsq
+
+    rng = make_rng(48, tag=f"lstsq-bits-{m}-{n}")
+    for cond in (1.0, 1e3, 1e8, 1e14):
+        for _ in range(10):
+            q1, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            k = min(m, n)
+            a = (q1[:, :k] * np.logspace(0.0, -np.log10(cond), k)) @ q2[:, :k].T
+            b = rng.normal(0.0, 10.0, size=m)
+            assert _same_bits(_lstsq(a, b), np.linalg.lstsq(a, b, rcond=None)[0])
+    # rank-deficient B_hat, as the transposed view of a fitted theta the RL action takes
+    for rank in range(min(m, n)):
+        theta = rng.normal(size=(n + 2, m))
+        theta[1:1 + n] = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m)) if rank else 0.0
+        B_hat = theta[1:1 + n].T
+        b = rng.normal(size=m)
+        assert _same_bits(_lstsq(B_hat, b), np.linalg.lstsq(B_hat, b, rcond=None)[0])
+
+
+def test_controllers_call_no_numpy_linalg_wrapper():
+    # the linear action, the oracle and the pooled solve go through _lstsq and _solve
+    import ast
+
+    tree = ast.parse(resources.files("r2rcontrol").joinpath("controllers.py").read_text())
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert "_lstsq" in calls and "_solve" in calls
+    wrapped = {"np.linalg.lstsq", "np.linalg.solve", "numpy.linalg.lstsq", "numpy.linalg.solve", "lstsq", "solve"}
+    assert [c for c in calls if c in wrapped] == []
+
+
 # ---------------------------------------------------------------------------
 # RL controller (learning by doing)
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import r2rcontrol
+from r2rcontrol import harness
 from r2rcontrol.errors import ConfigError, DimensionError, PeriodAbortError, UndefinedRatioError
+from r2rcontrol.experiments import preset_config
 from r2rcontrol.harness import (
     ExperimentConfig,
     boxplot_rows,
@@ -25,6 +27,7 @@ from r2rcontrol.harness import (
 )
 from r2rcontrol.processes import SamplePath
 from r2rcontrol.rng import derive_int_seed, make_rng
+from test_artifact_hashes import PRESETS, SWAPPED
 
 
 def _path(y, u=None):
@@ -155,6 +158,27 @@ def test_threading_does_not_change_results():
     for r1, r2 in zip(serial, parallel):
         np.testing.assert_array_equal(r1.path.y, r2.path.y)
         assert r1.total_cost == r2.total_cost
+
+
+def _same_result(a, b) -> bool:
+    paths = [(p.u, p.y, p.d, p.y0, p.seed) for p in (a.path, b.path)]
+    same_path = all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in zip(*paths))
+    return same_path and (a.total_cost, a.mse, a.per_path_costs, a.diagnostics) == (
+        b.total_cost, b.mse, b.per_path_costs, b.diagnostics)
+
+
+@pytest.mark.parametrize("name", sorted([*PRESETS, *SWAPPED]))
+def test_one_model_per_run_gives_the_results_of_fresh_models(name, monkeypatch):
+    preset, swap = (SWAPPED[name][0], {"controller": SWAPPED[name][1]}) if name in SWAPPED else (name, {})
+    n_paths = min(preset_config(preset).n_learning_paths, 4)
+    cfg = preset_config(preset, replications=3, n_learning_paths=n_paths, **swap)
+    fresh = [run_replication(cfg, rep) for rep in range(cfg.replications)]  # each builds its own model
+    built = []
+    build = harness.process_from_config
+    monkeypatch.setattr(harness, "process_from_config", lambda process: built.append(1) or build(process))
+    shared = run_replications(cfg)
+    assert len(built) == 1
+    assert all(_same_result(a, b) for a, b in zip(shared, fresh, strict=True))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -294,6 +294,27 @@ def test_open_loop_path_equals_step_commit_loop(family):
     np.testing.assert_equal(_model_state(batched), _model_state(stepped))
 
 
+@pytest.mark.parametrize("m_y, m_u", [(1, 1), (2, 4), (3, 2), (5, 7)])
+def test_linear_draws_equal_row_by_row_products(m_y, m_u):
+    # the draw the stacked and the one-row expressions replace: one B @ u[i] and L @ z[i] a row, in a list
+    rng = make_rng(8, tag=f"linear-draws-{m_y}-{m_u}")
+    root = rng.normal(size=(m_y, m_y))  # a non-diagonal Lambda for m_y > 1
+    params = LinearCmpParams(A=rng.normal(0.0, 100.0, m_y), B=rng.normal(0.0, 20.0, (m_y, m_u)),
+                             delta=rng.normal(size=m_y), Lambda=root @ root.T + np.eye(m_y), T=12)
+    u = rng.normal(0.0, 3.0, size=(params.T, m_u))
+    stepped, batched = LinearCmpProcess(params), LinearCmpProcess(params)
+    L = batched._noise_factor
+    z = make_rng(41, tag="linear_cmp").standard_normal((params.T, m_y))
+    want = np.array([params.A + params.B @ u[i] + params.delta * (1 + i) + L @ z[i] for i in range(params.T)])
+    batched.reset(41)
+    y, _ = batched.run_open_loop(u)
+    assert y.tobytes() == want.tobytes()
+    stepped.reset(41)
+    for t in range(1, params.T + 1):  # one-row draws
+        assert stepped.step(u[t - 1], t).tobytes() == want[t - 1].tobytes()
+        stepped.commit()
+
+
 def test_open_loop_rejects_wrong_shape_and_a_stepped_model():
     model = WienerProcess(WienerParams(y0=90.0, v=0.66, sigma=1.0, T=5))
     model.reset(1)

@@ -122,6 +122,21 @@ def test_rate_check_rejects_degenerate_sizes(name, args, kwargs):
         theorem1_rate_check(*args, **kwargs)
 
 
+@pytest.mark.parametrize("n_grid", [[25], [25, 25], [40, 40, 40], []])
+def test_rate_check_needs_two_distinct_path_counts(n_grid):
+    with pytest.raises(ConfigError, match="n_grid"):
+        theorem1_rate_check(n_grid, 20, 3)
+
+
+def test_two_point_rate_fit_has_no_slope_se():
+    # an exact two-point fit leaves no residual degree of freedom: the slopes stand, their se is unknown
+    rep = theorem1_rate_check([25, 50], 20, 3)
+    assert np.isfinite(rep.slopes).all()
+    assert np.isnan(rep.slope_se).all()
+    three = theorem1_rate_check([25, 50, 100], 20, 3)
+    assert (np.isfinite(three.slope_se) & (three.slope_se > 0.0)).all()
+
+
 def test_bound_check_needs_one_trial():
     with pytest.raises(ConfigError, match="n_trials"):
         theorem2_bound_check(DEFAULT_BOUND_BATTERY[0], (0.5,), 0, 3)
