@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -104,13 +105,6 @@ class ExperimentConfig:
             raise ConfigError(f"y_star must be a flat list of numbers, got {self.y_star!r}")
         self.y_star = list(y_star)
 
-    def validate_dimensions(self) -> None:
-        model = process_from_config(self.process)
-        if len(self.y_star) != model.output_dim:
-            raise ConfigError(
-                f"y_star has {len(self.y_star)} coordinates, process emits {model.output_dim}"
-            )
-
 
 @dataclass
 class RunResult:
@@ -142,9 +136,10 @@ class SummaryStats:
 def run_replication(config: ExperimentConfig, rep: int, model: ProcessModel | None = None) -> RunResult:
     """Execute one replication with seeds derived from (master_seed, rep).
 
-    ``model`` is the run's process, built from ``config.process`` when not
-    given.  Every path starts with ``model.reset(seed)``, so a model shared
-    by the replications of a run gives the results a fresh one would.
+    ``model`` is the run's process; without it one is built from
+    ``config.process``, which re-runs one replication alone.  Every path
+    starts with ``model.reset(seed)``, so a model shared by the replications
+    of a run gives the results a fresh one would.
 
     A toolkit error from offline learning or from a path is re-raised as
     the same type, its message prefixed with the replication, the path
@@ -171,28 +166,25 @@ def run_replication(config: ExperimentConfig, rep: int, model: ProcessModel | No
     return RunResult(
         path=path,
         total_cost=per_path_costs[-1],
-        mse=mse(path, y_star),
+        mse=per_path_costs[-1] / path.horizon,
         per_path_costs=per_path_costs,
         diagnostics=diagnostics,
     )
 
 
-def _worker(args) -> tuple[int, RunResult]:
-    config_dict, rep = args
-    config = ExperimentConfig(**config_dict)
-    return rep, run_replication(config, rep)
-
-
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
-    """All replications, serially on one process model; the results do not depend on ``threads``."""
-    reps = range(config.replications)
-    if config.threads > 1:
-        cfg_dict = asdict(config)
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = dict(pool.map(_worker, [(cfg_dict, r) for r in reps]))
-        return [results[r] for r in reps]
+    """All replications on the run's one process model, in index order, serially or on ``threads`` workers.
+
+    A ``y_star`` of the wrong length is a :class:`ConfigError` before any path runs or any worker starts.
+    """
     model = process_from_config(config.process)
-    return [run_replication(config, r, model) for r in reps]
+    if len(config.y_star) != model.output_dim:
+        raise ConfigError(f"y_star has {len(config.y_star)} coordinates, process emits {model.output_dim}")
+    args = (repeat(config), range(config.replications), repeat(model))
+    if config.threads == 1:
+        return list(map(run_replication, *args))
+    with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(run_replication, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,6 @@ def _run_artifacts(config: ExperimentConfig, results: list[RunResult], stats: Su
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
     """Run all replications, and write their artifacts if ``output_dir`` is set."""
-    config.validate_dimensions()
     results = run_replications(config)
     stats = summarize(results)
     write_report(config.output_dir, lambda: _run_artifacts(config, results, stats))

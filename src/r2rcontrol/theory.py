@@ -191,6 +191,10 @@ DEFAULT_BOUND_BATTERY: list[BoundConfig] = [
 # ---------------------------------------------------------------------------
 
 
+# The rate check's process y = a + b*u + e, its actions u uniform on [-spread, spread]: a, b, spread.
+_RATE_A, _RATE_B, _RATE_ACTION_SPREAD = 91.7, -1.8, 1.0
+
+
 @dataclass
 class RateReport:
     n_grid: list[int]
@@ -219,16 +223,14 @@ def theorem1_rate_check(
     n_grid,
     replications: int,
     seed: int,
-    a: float = 91.7,
-    b: float = -1.8,
     sigma: float = 1.0,
     periods: int = 80,
-    action_spread: float = 1.0,
 ) -> RateReport:
     """Empirical var(theta_hat - theta) versus the number of sample paths N.
 
-    Simulates N paths of ``periods`` samples from y = a + b*u + e with
-    uniformly spread actions, fits (a, b) per replication, and regresses
+    Simulates N paths of ``periods`` samples from y = a + b*u + e (a, b and
+    the action spread are the module's ``_RATE_*`` constants, e has standard
+    deviation ``sigma``), fits (a, b) per replication, and regresses
     log variance on log N.  A slope of -1 is the expected 1/N decay.  The
     fit needs two distinct N; with two grid points it is exact, no residual
     degree of freedom is left, and ``slope_se`` is NaN.
@@ -258,11 +260,11 @@ def theorem1_rate_check(
             u = u_rng.random((stop - start, n))
             u -= 0.5
             u *= 2.0
-            u *= action_spread
+            u *= _RATE_ACTION_SPREAD
             e = rng.standard_normal((stop - start, n))
             e *= sigma
-            y = b * u
-            y += a
+            y = _RATE_B * u
+            y += _RATE_A
             y += e
             u_mean = u.mean(axis=1, keepdims=True)
             y_mean = y.mean(axis=1, keepdims=True)
@@ -272,7 +274,7 @@ def theorem1_rate_check(
             ubar[start:stop] = u_mean.ravel()
             ybar[start:stop] = y_mean.ravel()
         a_hat = ybar - b_hat * ubar
-        est = np.column_stack([a_hat - a, b_hat - b])
+        est = np.column_stack([a_hat - _RATE_A, b_hat - _RATE_B])
         variances[i] = est.var(axis=0, ddof=1)
         all_bias.append(est)
     bias = np.vstack(all_bias)

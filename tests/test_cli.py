@@ -125,6 +125,7 @@ MALFORMED = [
     ("arima_ghr", "controller.ghr_c=NaN"),
     ("arima_ghr", "controller.ghr_s=-21"),
     ("arima_ghr", "y_star=[[90]]"),
+    ("cmp_ewma", "y_star=[1700, 150, 1]"),
 ]
 
 

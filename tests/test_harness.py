@@ -1,7 +1,9 @@
 """Tests for metrics, the replication runner, and artifact persistence."""
 
 import ast
+import dataclasses
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -113,8 +115,8 @@ def test_config_rejects_bad_counts():
 def test_config_dimension_validation():
     cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": "null"},
                            y_star=[1.0, 2.0, 3.0])
-    with pytest.raises(ConfigError):
-        cfg.validate_dimensions()
+    with pytest.raises(ConfigError, match="y_star"):
+        run_replications(cfg)
 
 
 def test_config_rejects_non_string_output_dir():
@@ -174,11 +176,38 @@ def test_one_model_per_run_gives_the_results_of_fresh_models(name, monkeypatch):
     cfg = preset_config(preset, replications=3, n_learning_paths=n_paths, **swap)
     fresh = [run_replication(cfg, rep) for rep in range(cfg.replications)]  # each builds its own model
     built = []
-    build = harness.process_from_config
-    monkeypatch.setattr(harness, "process_from_config", lambda process: built.append(1) or build(process))
+    build, parent = harness.process_from_config, os.getpid()
+
+    def counted(process):
+        # the pool's workers are forked with this patch in place: a model built there fails the run
+        assert os.getpid() == parent, "a worker built a process model"
+        built.append(1)
+        return build(process)
+
+    monkeypatch.setattr(harness, "process_from_config", counted)
     shared = run_replications(cfg)
     assert len(built) == 1
     assert all(_same_result(a, b) for a, b in zip(shared, fresh, strict=True))
+    built.clear()
+    run_experiment(cfg)
+    assert len(built) == 1
+    built.clear()
+    threaded = run_replications(dataclasses.replace(cfg, threads=2))
+    assert len(built) == 1
+    assert all(_same_result(a, b) for a, b in zip(threaded, shared, strict=True))
+
+
+@pytest.mark.parametrize("kind", ["null", "ewma", "rl_alg1", "oracle"])
+@pytest.mark.parametrize("entry, threads", [("run_replications", 1), ("run_replications", 2), ("run_experiment", 1)])
+def test_wrong_length_target_is_config_error_before_any_path(entry, threads, kind, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "simulate_path", lambda *args: started.append("path"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda *args, **kw: started.append("pool"))
+    cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": kind}, y_star=[1.0, 2.0, 3.0],
+                           replications=2, threads=threads)
+    with pytest.raises(ConfigError, match="^y_star has 3 coordinates, process emits 2$"):
+        getattr(harness, entry)(cfg)
+    assert started == []
 
 
 @pytest.mark.parametrize("threads", [1, 2])
