@@ -5,31 +5,40 @@ Five controllers: EWMA and GHR benchmarks, the model-based RL controller
 the optimize-after-parameter-estimation baseline, and the policy
 gradient search controller driven by a fitted output distribution.
 
-Every policy subclasses :class:`Controller`.  ``prepare`` does any
-offline learning for one replication and returns how many online paths
-that replication runs; ``run_path`` runs one path on a freshly reset
-process.  A policy only chooses actions, in one of two ways.  A policy
+Every policy subclasses :class:`Controller`, and one controller runs a
+stack of replications in lockstep: the rows of a
+:class:`~r2rcontrol.processes.ProcessModel`, one replication each.
+``prepare`` does any offline learning for each row and returns how many
+online paths the rows run; ``run_path`` runs one path of every row on a
+freshly reset process.  A one-row model is the single-path case of the
+same code.  A policy only chooses actions, in one of two ways.  A policy
 whose actions do not depend on the outputs (no control, random actions,
-the known-model oracle) returns all T of them from
+the known-model oracle) returns all T of them for every row from
 ``open_loop_actions``, and ``run_path`` hands them to
 ``ProcessModel.run_open_loop``.  A feedback policy implements ``reset``,
-which sets up per-path state, and ``act``, which calls ``model.step``
-once or, for controllers that iterate trial actions, several times per
-period; ``run_path`` commits the last trial of each period and records
-the committed action, output and disturbance.
+which sets up per-path state, and ``act``, which calls ``model.step`` on
+the rows once or, for controllers that iterate trial actions, several
+times per period; ``run_path`` commits each row's last trial of each
+period and records the committed actions, outputs and disturbances.
+
+A row's numbers do not depend on the other rows: every stacked product,
+solve and least-squares call gives each slice the bits of its one-row
+call, and every row draws from its own streams.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc ``ndarray.clip`` calls, without its wrapper: the same bits
 from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import optimize
 
-from .errors import ConfigError, PeriodAbortError, integer, number, positive
+from .errors import ConfigError, PeriodAbortError, R2RError, integer, number, positive
 from .estimation import VARIANCE_FORMS, PgsDistributionParams, fit_pgs_params, ridged_gram
 from .processes import ProcessModel, QuadraticCmpProcess, SamplePath, simulate_path
 from .rng import derive_int_seed, make_rng
@@ -38,51 +47,85 @@ log = logging.getLogger(__name__)
 
 
 class Controller:
-    """Choose each period's action; ``run_path`` commits and records it.
+    """Choose each period's actions for the rows of a model; ``run_path`` commits and records them.
 
-    The harness calls ``prepare`` once per replication, then ``run_path``
-    once per online path.
+    The harness calls ``prepare`` once per stack of replications, then
+    ``run_path`` once per online path, on a model with one row per
+    replication.
     """
 
-    diagnostics: dict = {}
+    rows = 1
 
-    def prepare(self, model: ProcessModel, n_learning_paths: int, master_seed: int, replication: int) -> int:
-        """Do any offline learning; return how many online paths the replication runs."""
+    def prepare(self, model: ProcessModel, n_learning_paths: int, master_seed: int, replications) -> int:
+        """Do any offline learning for each of ``replications``, one per row; return how many online paths they run."""
         return n_learning_paths
 
-    def open_loop_actions(self, model: ProcessModel, seed: int) -> np.ndarray | None:
-        """All (T, m_u) actions of the path when they do not depend on its outputs, else None."""
+    def open_loop_actions(self, model: ProcessModel, seeds: list) -> np.ndarray | None:
+        """All (R, T, m_u) actions of the rows' paths when they do not depend on the outputs, else None."""
         return None
 
-    def reset(self, model: ProcessModel, seed: int) -> None:
-        """Set up per-path state before period 1."""
+    def reset(self, model: ProcessModel, seeds: list) -> None:
+        """Set up every row's per-path state before period 1."""
 
     def act(self, model: ProcessModel, t: int) -> None:
-        """Call ``model.step(u, t)`` one or more times; the last draw is committed."""
+        """Call ``model.step`` on the rows one or more times; each row's last draw is committed."""
         raise NotImplementedError
 
-    def run_path(self, model: ProcessModel, seed: int) -> SamplePath:
-        """One T-period trajectory on a model already reset to ``seed``."""
-        u = self.open_loop_actions(model, seed)
+    def row_diagnostics(self, row: int) -> dict:
+        """One row's convergence diagnostics of the last path."""
+        return {}
+
+    @property
+    def diagnostics(self) -> dict:
+        """The rows' diagnostics, lists joined in row order and counts summed: a one-row model's own."""
+        merged = {}
+        for row in range(self.rows):
+            for key, value in self.row_diagnostics(row).items():
+                merged[key] = merged[key] + value if key in merged else value
+        return merged
+
+    def run_path(self, model: ProcessModel, seed) -> SamplePath | list[SamplePath]:
+        """One T-period trajectory of every row of a model already reset to ``seed``.
+
+        ``seed`` is a sequence with one seed per row, for a list of paths, or
+        one int for a one-row model, for its path.
+        """
+        one = np.ndim(seed) == 0
+        seeds = [seed] if one else list(seed)
+        self.rows = len(seeds)
+        u = self.open_loop_actions(model, seeds)
         if u is not None:
             y, d = model.run_open_loop(u)
-            return SamplePath(u=u, y=y, d=d, y0=model.y0, seed=seed)
-        self.reset(model, seed)
-        us, ys, ds = [], [], []
-        for t in range(1, model.T + 1):
-            self.act(model, t)
-            ys.append(model.commit())
-            us.append(model.u_committed)
-            ds.append(model.d_committed)
-        d = None if ds[0] is None else np.asarray(ds, dtype=float)
-        return SamplePath(u=np.array(us), y=np.array(ys), d=d, y0=model.y0, seed=seed)
+        else:
+            self.reset(model, seeds)
+            us, ys, ds = [], [], []
+            for t in range(1, model.T + 1):
+                self.act(model, t)
+                ys.append(model.commit())
+                us.append(model.u_committed)
+                ds.append(model.d_committed)
+            # (T, R, ...) records to (R, T, ...): one copy, where a stack along axis 1 costs three times as much
+            u, y = (np.ascontiguousarray(np.array(a).swapaxes(0, 1)) for a in (us, ys))
+            d = None if ds[0] is None else np.ascontiguousarray(np.array(ds).T)
+        paths = [SamplePath(u=u[i], y=y[i], d=None if d is None else d[i], y0=model.y0, seed=s)
+                 for i, s in enumerate(seeds)]
+        return paths[0] if one else paths
+
+
+@contextlib.contextmanager
+def _for_row(row: int):
+    """Name ``row`` in a toolkit error raised inside, for work done one row at a time."""
+    try:
+        yield
+    except R2RError as exc:
+        raise exc.on_row(row)
 
 
 class NullController(Controller):
     """u = 0 every period (the no-control baseline)."""
 
-    def open_loop_actions(self, model, seed):
-        return np.zeros((model.T, model.control_dim))
+    def open_loop_actions(self, model, seeds):
+        return np.zeros((len(seeds), model.T, model.control_dim))
 
 
 class LinearOracleController(Controller):
@@ -94,10 +137,10 @@ class LinearOracleController(Controller):
         self.delta = np.atleast_1d(np.asarray(delta, dtype=float))
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
 
-    def open_loop_actions(self, model, seed):
-        # the actions do not depend on the seed: solved once per (A, B, delta, y*, T), copied per path
+    def open_loop_actions(self, model, seeds):
+        # the actions do not depend on the seed: solved once per (A, B, delta, y*, T), copied per row
         key = [(a.shape, a.tobytes()) for a in (self.A, self.B, self.delta, self.y_star)]
-        return _oracle_actions(*key, model.T).copy()
+        return np.repeat(_oracle_actions(*key, model.T)[None], len(seeds), axis=0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -115,18 +158,21 @@ class RandomActionController(Controller):
         self.spread = float(spread)
         self.tag = tag
 
-    def open_loop_actions(self, model, seed):
+    def open_loop_actions(self, model, seeds):
         # one draw of all T periods equals T draws of size m_u from the same stream
-        return make_rng(seed, tag=self.tag).normal(0.0, self.spread, size=(model.T, model.control_dim))
+        size = (model.T, model.control_dim)
+        return np.array([make_rng(s, tag=self.tag).normal(0.0, self.spread, size=size) for s in seeds])
 
 
 def random_action_paths(model: ProcessModel, n: int, seed: int, spread: float, tag: str) -> list[SamplePath]:
-    """``n`` offline paths under seeded random actions, streams keyed by ``tag``."""
-    policy = RandomActionController(spread, tag=f"{tag}-offline")
-    return [
-        simulate_path(model, policy, int(make_rng(seed, replication=i, tag=f"{tag}-seed").integers(2**63)))
-        for i in range(n)
-    ]
+    """``n`` offline paths under seeded random actions, streams keyed by ``tag``, run as one stack of ``n`` rows."""
+    seeds = [int(make_rng(seed, replication=i, tag=f"{tag}-seed").integers(2**63)) for i in range(n)]
+    return simulate_path(model, RandomActionController(spread, tag=f"{tag}-offline"), seeds)
+
+
+def _matvecs(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mat @ v`` for each row ``v`` of ``vecs``, as a stack of the GEMVs one product makes, so with its bits."""
+    return np.matmul(mat, vecs[:, :, None])[:, :, 0]
 
 
 class EwmaController(Controller):
@@ -147,16 +193,14 @@ class EwmaController(Controller):
         self.a_init = None if a_init is None else np.atleast_1d(np.asarray(a_init, dtype=float))
         self._pinv = np.linalg.pinv(self.B)
 
-    def reset(self, model, seed):
-        if self.a_init is not None:
-            self.a_hat = self.a_init.copy()
-        else:
-            self.a_hat = np.zeros(model.output_dim)
+    def reset(self, model, seeds):
+        a_init = np.zeros(model.output_dim) if self.a_init is None else self.a_init
+        self.a_hat = np.tile(a_init, (len(seeds), 1))
 
     def act(self, model, t):
-        u = self._pinv @ (self.y_star - self.a_hat)
+        u = _matvecs(self._pinv, self.y_star - self.a_hat)
         y = model.step(u, t)
-        self.a_hat = self.lam * (y - self.B @ u) + (1.0 - self.lam) * self.a_hat
+        self.a_hat = self.lam * (y - _matvecs(self.B, u)) + (1.0 - self.lam) * self.a_hat
 
 
 class GhrController(Controller):
@@ -178,15 +222,15 @@ class GhrController(Controller):
             raise ConfigError(f"ghr_s must be > -1, got {ghr_s!r}")
         self.a_init = float(a_init)
 
-    def reset(self, model, seed):
-        self.a_hat = self.a_init
+    def reset(self, model, seeds):
+        self.a_hat = np.full(len(seeds), self.a_init)
 
     def act(self, model, t):
         u = (self.y_star - self.a_hat) / self.b
-        y = model.step(np.array([u]), t)
+        y = model.step(u[:, None], t)[:, 0]
         lam = self.c / (t + self.s)
         lam = min(max(lam, 0.0), 1.0)
-        self.a_hat = lam * (float(y[0]) - self.b * u) + (1.0 - lam) * self.a_hat
+        self.a_hat = lam * (y - self.b * u) + (1.0 - lam) * self.a_hat
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +259,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return gufunc(a, b, signature="dd->d")
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``_solve`` of a stack of systems, a slice each, where an exactly singular slice comes back NaN.
+
+    Under ``invalid="ignore"`` numpy's gufunc fills a failed slice with NaN
+    and leaves the others as their own calls make them.  Also returns
+    whether the sum of all the solutions' entries is finite, which it is
+    only if every entry is; it may also overflow when every entry is finite.
+    """
+    x = _umath_linalg.solve(a, b, signature="dd->d")
+    return x, math.isfinite(np.add.reduce(x, axis=None))
+
+
 def _raise_lstsq(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
@@ -230,10 +287,11 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy's ``lstsq`` gufunc with ``b`` as one column, the default cut-off
     eps * max(m, n) and the same error state.  So the minimum-norm solution
     has the same bits; the checks, the residuals and the singular values the
-    wrapper also returns are skipped.
+    wrapper also returns are skipped.  A stack of systems, (k, m, n) and
+    (k, m), is one call that solves each slice as its own call would.
     """
-    m, n = a.shape
-    return _umath_linalg.lstsq(a, b[:, None], _EPS * max(m, n), signature="ddd->ddid")[0][:, 0]
+    m, n = a.shape[-2:]
+    return _umath_linalg.lstsq(a, b[..., None], _EPS * max(m, n), signature="ddd->ddid")[0][..., 0]
 
 
 # a pooled design with a larger 2-norm condition number is treated as rank-deficient
@@ -241,63 +299,89 @@ _COND_LIMIT = 1e12
 
 
 class _PooledFit:
-    """Incremental [Gram | X'y] accumulator for pooled least squares.
+    """Incremental [Gram | X'y] accumulators for pooled least squares, one per row of a stack.
 
-    ``solve`` reports a fit as ridged when the Gram is singular or, exactly
-    as ``np.linalg.cond(gram) > _COND_LIMIT`` would, near-singular.  The
-    condition number is not recomputed at every solve.  Adding x x' never
-    lowers the Gram's smallest eigenvalue and raises its largest by at most
-    |x|^2 (Weyl), so after one exact SVD, (s_max + sum |x|^2) / s_min bounds
-    the condition number of every later Gram from above.  While that bound
-    is below a tenth of the limit, the condition number is certainly below
-    the limit and the SVD is skipped; otherwise it is recomputed and the
-    bound restarts from the new singular values.
+    ``solve`` reports a row's fit as ridged when its Gram is singular or,
+    exactly as ``np.linalg.cond(gram) > _COND_LIMIT`` would, near-singular.
+    The condition number is not recomputed at every solve.  Adding x x'
+    never lowers the Gram's smallest eigenvalue and raises its largest by at
+    most |x|^2, the rise of its trace (Weyl), so after one exact SVD,
+    (s_max + trace - trace at the SVD) / s_min bounds the condition number
+    of every later Gram from above.  While that bound is below a tenth of
+    the limit, the condition number is certainly below the limit and the
+    SVD is skipped; otherwise it is recomputed and the bound restarts from
+    the new singular values.  Each row keeps its own bound, as the trace
+    below which its SVD is skipped, and the SVD runs only for the rows that
+    reach it.
+
+    ``rows`` arguments are index arrays into the stack; None is every row.
     """
 
-    def __init__(self, n_features: int, n_outputs: int):
-        self.aug = np.zeros((n_features, n_features + n_outputs))
-        self.gram = self.aug[:, :n_features]
-        self.xty = self.aug[:, n_features:]
-        self._outer = np.empty_like(self.aug)  # one sample's x [x' | y'], reused by every add
-        self.n = 0
-        self._s_min = 0.0
-        self._s_max_bound = np.inf
+    def __init__(self, n_features: int, n_outputs: int, rows: int = 1):
+        self.aug = np.zeros((rows, n_features, n_features + n_outputs))
+        self.gram = self.aug[:, :, :n_features]
+        self.xty = self.aug[:, :, n_features:]
+        self._diagonal = self.gram.diagonal(axis1=1, axis2=2)  # a view: each row's Gram diagonal, for its trace
+        self._outer = np.empty_like(self.aug)  # every row's x [x' | y'], reused by every add of all rows
+        self._adds = 0  # samples added to every row, counted once
+        self._row_adds = np.zeros(rows, dtype=int)  # samples added to some rows
+        self._trace_limit = [-math.inf] * rows  # no SVD yet: every row takes one
 
-    def add(self, x: np.ndarray, y: np.ndarray) -> None:
-        np.multiply(x[:, None], np.concatenate((x, y)), out=self._outer)
-        self.aug += self._outer
-        self._s_max_bound += x @ x
-        self.n += 1
+    @property
+    def n(self) -> np.ndarray:
+        """Each row's sample count."""
+        return self._row_adds + self._adds
 
-    def _near_singular(self) -> bool:
-        if self._s_max_bound < 0.1 * _COND_LIMIT * self._s_min:
-            return False
-        s = np.linalg.svd(self.gram, compute_uv=False)
-        self._s_min, self._s_max_bound = s[-1], s[0]
+    def add(self, x: np.ndarray, y: np.ndarray, rows=None) -> None:
+        """Add one sample to each of ``rows``: its row of the features ``x`` and of the outputs ``y``."""
+        xy = np.concatenate((x, y), axis=1)
+        if rows is None:
+            self.aug += np.multiply(x[:, :, None], xy[:, None, :], out=self._outer)
+            self._adds += 1
+        else:
+            self.aug[rows] += x[:, :, None] * xy[:, None, :]
+            self._row_adds[rows] += 1
+
+    def _near_singular(self, row: int) -> bool:
+        """Whether ``row``'s Gram is above the condition limit, from an exact SVD that restarts its bound."""
+        s = np.linalg.svd(self.gram[row], compute_uv=False)
+        # later SVDs are skipped while s_max + (trace - trace now) < 0.1 * _COND_LIMIT * s_min
+        self._trace_limit[row] = 0.1 * _COND_LIMIT * s[-1] - s[0] + np.add.reduce(self._diagonal[row])
         # a zero s_min is np.linalg.cond's inf
         return s[-1] == 0.0 or s[0] / s[-1] > _COND_LIMIT
 
-    def solve(self) -> tuple[np.ndarray, bool]:
-        gram = self.gram
-        ridged = False
-        try:
-            theta = _solve(gram, self.xty)
-            if not np.isfinite(theta).all():
-                raise LinAlgError
-        except LinAlgError:
-            ridged = True
-            theta = _solve(ridged_gram(gram), self.xty)
+    def solve(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """The fits of ``rows``, (len(rows), n_features, n_outputs), and whether each is ridged."""
+        gram, xty, diagonal, limits = (self.gram, self.xty, self._diagonal, self._trace_limit) if rows is None else (
+            self.gram[rows], self.xty[rows], self._diagonal[rows], [self._trace_limit[i] for i in rows.tolist()])
+        theta, finite_sum = _solve_or_nan(gram, xty)
+        ridged = np.zeros(len(theta), dtype=bool)
+        if not finite_sum:
+            ridged = ~np.isfinite(theta).reshape(len(theta), -1).all(axis=1)
+            if ridged.any():
+                theta[ridged] = _solve(np.array([ridged_gram(g) for g in gram[ridged]]), xty[ridged])
         # near-singular pooled designs behave like rank-deficient ones
-        if not ridged and self._near_singular():
-            ridged = True
+        for j, (trace, limit) in enumerate(zip(np.add.reduce(diagonal, axis=1).tolist(), limits)):
+            if not trace < limit and not ridged[j]:
+                ridged[j] = self._near_singular(j if rows is None else rows[j])
         return theta, ridged
 
 
 def _quad_residual(theta: np.ndarray, y_star: np.ndarray, t: int, u: np.ndarray):
     """Target miss r of the fitted quadratic family at ``u`` and its transposed Jacobian dr/du (3 x m_y)."""
-    r = _quadratic_features(u, t) @ theta - y_star
+    u = u.tolist()
+    return _quad_miss(theta, y_star, float(t), u), _quad_jacobian(theta[:-1], u)
+
+
+def _quad_miss(theta: np.ndarray, y_star: np.ndarray, t: float, u: list) -> np.ndarray:
+    """The target miss at the action ``u``, a list of 3 floats: ``_quadratic_features(u, t) @ theta - y_star``."""
+    return np.array(QuadraticCmpProcess.quad_terms(*u) + [t]) @ theta - y_star
+
+
+def _quad_jacobian(theta_u: np.ndarray, u: list) -> np.ndarray:
+    """The miss's transposed Jacobian at ``u``, a list of 3 floats, from the fit's first 10 rows ``theta_u``."""
     # gradient of features wrt u (10 x 3), from Python floats: their products round as float64 ones do
-    u1, u2, u3 = u.tolist()
+    u1, u2, u3 = u
     jac_f = np.array(
         [
             0.0, 0.0, 0.0,
@@ -312,7 +396,7 @@ def _quad_residual(theta: np.ndarray, y_star: np.ndarray, t: int, u: np.ndarray)
             0.0, u3, u2,
         ]
     ).reshape(10, 3)
-    return r, jac_f.T @ theta[:-1]
+    return jac_f.T @ theta_u
 
 
 def _quad_objective(theta: np.ndarray, y_star: np.ndarray, t: int):
@@ -343,16 +427,25 @@ _EXACT_MISS = 1e-12
 
 
 def _quad_gauss_newton(theta, y_star, t, u, lo, hi) -> np.ndarray | None:
-    """Projected minimum-norm Gauss-Newton from ``u``; the action if it hits y* exactly, else None."""
-    for _ in range(_GAUSS_NEWTON_ITERS):
-        r, jac_t = _quad_residual(theta, y_star, t, u)
-        if r @ r <= _EXACT_MISS:
-            return u
-        try:
-            step = jac_t @ _solve(jac_t.T @ jac_t, r)
-        except LinAlgError:
-            return None
-        u = (u - step).clip(lo, hi)
+    """Projected minimum-norm Gauss-Newton from ``u``; the action if it hits y* exactly, else None.
+
+    The iterations run under ``_solve``'s error state, entered once: an
+    exactly singular J J^T raises ``LinAlgError`` and ends them.  So does
+    an invalid operation anywhere in them, which would otherwise leave NaN
+    iterates that never hit y*; either way the answer is None.
+    """
+    t, theta_u = float(t), theta[:-1]
+    try:
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            for _ in range(_GAUSS_NEWTON_ITERS):
+                u_list = u.tolist()
+                r = _quad_miss(theta, y_star, t, u_list)
+                if r @ r <= _EXACT_MISS:  # an exact hit: the Jacobian there is not needed
+                    return u
+                jac_t = _quad_jacobian(theta_u, u_list)
+                u = _clip(u - jac_t @ _umath_linalg.solve1(jac_t.T @ jac_t, r, signature="dd->d"), lo, hi)
+    except LinAlgError:
+        pass
     return None
 
 
@@ -366,7 +459,8 @@ def rl_alg1_action_optimize(
 ) -> np.ndarray:
     """Minimize the fitted model's squared target miss over the action box.
 
-    Linear family: closed-form minimum-norm solve, clipped to the box.
+    Linear family: closed-form minimum-norm solve, clipped to the box; a
+    stack of fits is solved in one call.
 
     Quadratic family: the fitted model has more actions than outputs, so
     its exact hits generically form a curve.  The fast path starts from the
@@ -379,22 +473,25 @@ def rl_alg1_action_optimize(
     minimizes the miss, with first-found tie-breaking.  The stencil is
     clipped to the box only when the fallback runs.
     """
-    y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
+    y_star = np.array(y_star, dtype=float, ndmin=1, copy=None)
     lo, hi = bounds
     if model_family == "linear":
-        # theta rows: intercept, control coefficients, drift slope
-        theta2 = np.atleast_2d(np.asarray(theta, dtype=float))
-        if theta2.shape[0] == 1:
-            theta2 = theta2.T
-        m_u = theta2.shape[0] - 2
-        A_hat = theta2[0]
-        B_hat = theta2[1 : 1 + m_u].T
-        delta_hat = theta2[-1]
+        # theta rows: intercept, control coefficients, drift slope; a (k, p, m_y) stack of fits
+        # gives the (k, m_u) actions of one stacked least-squares call
+        theta2 = np.asarray(theta, dtype=float)
+        if theta2.ndim < 3:
+            theta2 = np.atleast_2d(theta2)
+            if theta2.shape[0] == 1:
+                theta2 = theta2.T
+        m_u = theta2.shape[-2] - 2
+        A_hat = theta2[..., 0, :]
+        B_hat = np.swapaxes(theta2[..., 1 : 1 + m_u, :], -1, -2)
+        delta_hat = theta2[..., -1, :]
         rhs = y_star - A_hat - delta_hat * t
-        return _lstsq(B_hat, rhs).clip(lo, hi)
+        return _clip(_lstsq(B_hat, rhs), lo, hi)
     if model_family == "quadratic":
         first = _QUAD_STENCIL[0] if warm_start is None else np.asarray(warm_start, dtype=float)
-        start = first.clip(lo, hi)
+        start = _clip(first, lo, hi)
         u = _quad_gauss_newton(theta, y_star, t, start, lo, hi)
         if u is not None:
             return u
@@ -415,16 +512,22 @@ def rl_alg1_action_optimize(
     raise ConfigError(f"unknown model family {model_family!r}")
 
 
-def _linear_features(u: np.ndarray, t: int) -> np.ndarray:
-    return np.concatenate([[1.0], u, [float(t)]])
+def _linear_feature_rows(u: np.ndarray, t: int) -> np.ndarray:
+    """[1, u, t] for each row ``u`` of the actions."""
+    return np.concatenate([np.ones((len(u), 1)), u, np.full((len(u), 1), float(t))], axis=1)
 
 
 def _quadratic_features(u: np.ndarray, t: int) -> np.ndarray:
     return np.array(QuadraticCmpProcess.quad_terms(*u.tolist()) + [float(t)])
 
 
+def _quadratic_feature_rows(u: np.ndarray, t: int) -> np.ndarray:
+    """``_quadratic_features`` of each row of the actions."""
+    return np.array([QuadraticCmpProcess.quad_terms(*row) + [float(t)] for row in u.tolist()])
+
+
 class _ModelFitController(Controller):
-    """Pooled least-squares fit of an approximate model family, and the action it prescribes."""
+    """Pooled least-squares fits of an approximate model family, one per row, and the actions they prescribe."""
 
     def __init__(self, y_star, control_dim: int, output_dim: int, *,
                  model_family: str = "linear", action_low: float = -1e6, action_high: float = 1e6):
@@ -437,22 +540,33 @@ class _ModelFitController(Controller):
         if not self.action_low < self.action_high:
             raise ConfigError(f"action_low {self.action_low!r} must be below action_high {self.action_high!r}")
         if model_family == "linear":
-            self._features = _linear_features
+            self._features = _linear_feature_rows
             self.n_features = control_dim + 2
         elif model_family == "quadratic":
             if control_dim != 3:
                 raise ConfigError("quadratic family expects 3 control variables")
-            self._features = _quadratic_features
+            self._features = _quadratic_feature_rows
             self.n_features = 11
         else:
             raise ConfigError(f"unknown model family {model_family!r}")
-        self.pool = _PooledFit(self.n_features, output_dim)
-        self.theta = np.zeros((self.n_features, output_dim))
+        self._start(1)
 
-    def _optimize(self, t: int, warm: np.ndarray) -> np.ndarray:
-        return rl_alg1_action_optimize(
-            self.theta, self.y_star, t, self.model_family, (self.action_low, self.action_high), warm_start=warm
-        )
+    def _start(self, rows: int) -> None:
+        """An empty pooled fit and a zero model for each of ``rows`` rows."""
+        self.pool = _PooledFit(self.n_features, self.output_dim, rows)
+        self.theta = np.zeros((rows, self.n_features, self.output_dim))
+
+    def prepare(self, model, n_learning_paths, master_seed, replications):
+        self._start(len(replications))
+        return n_learning_paths
+
+    def _optimize(self, t: int, warm: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """The action each fit of ``theta`` prescribes, from the warm starts ``warm``, a row each."""
+        bounds = (self.action_low, self.action_high)
+        if self.model_family == "linear":  # one stacked least-squares call
+            return rl_alg1_action_optimize(theta, self.y_star, t, "linear", bounds)
+        return np.array([rl_alg1_action_optimize(fit, self.y_star, t, "quadratic", bounds, warm_start=start)
+                         for fit, start in zip(theta, warm)])
 
 
 class RlAlg1Controller(_ModelFitController):
@@ -465,6 +579,9 @@ class RlAlg1Controller(_ModelFitController):
     ridged solve), trial actions are dithered around the warm start by a
     seeded exploration stream of scale ``explore_scale``.  A period ends
     when the fit moves less than ``epsilon`` and the action less than ``eta``.
+
+    The rows iterate in lockstep: a row leaves the period's active set when
+    it converges, and the others go on with their own iteration counts.
     """
 
     def __init__(self, y_star, control_dim: int, output_dim: int, *, epsilon: float = 1.0, eta: float = 1.0,
@@ -476,44 +593,74 @@ class RlAlg1Controller(_ModelFitController):
         self.explore_scale = positive("explore_scale", explore_scale)
         self.paths_run = 0
 
-    def reset(self, model, seed):
-        self._explore_rng = make_rng(seed, tag="alg1-explore")
+    def _start(self, rows):
+        super()._start(rows)
+        self._informed = False  # whether every row has 3 * n_features samples, so explores only on a ridged fit
+
+    def reset(self, model, seeds):
+        self._explore_rng = [make_rng(s, tag="alg1-explore") for s in seeds]
         self.paths_run += 1
-        self.diagnostics = {
-            "inner_iterations": [],
-            "converged": [],
-            "pooled_samples": self.pool.n,
+        self._inner, self._converged = [[] for _ in seeds], [[] for _ in seeds]  # each row's periods
+
+    def row_diagnostics(self, row):
+        return {
+            "inner_iterations": list(self._inner[row]),
+            "converged": list(self._converged[row]),
+            "pooled_samples": int(self.pool.n[row]),
             "paths_run": self.paths_run,
         }
 
     def act(self, model, t):
-        # warm start: the action committed last period (zero at t = 1)
-        u_k = model.u_committed.copy()
-        self.pool.add(self._features(u_k, t), model.step(u_k, t))
-        converged = False
-        for k in range(self.max_inner_iters):
-            theta_prev = self.theta
-            self.theta, ridged = self.pool.solve()
-            if ridged or self.pool.n < 3 * self.n_features:
-                u_next = u_k + self._explore_rng.normal(0.0, self.explore_scale, size=self.control_dim)
-                u_next = u_next.clip(self.action_low, self.action_high)
+        # warm starts: the actions committed last period (zero at t = 1)
+        u = model.u_committed.copy()
+        self.pool.add(self._features(u, t), model.step(u, t))
+        self._informed = self._informed or bool(self.pool.n.min() >= 3 * self.n_features)
+        ids, rows = range(len(u)), None  # the rows still iterating; rows is None while that is all of them
+        for k in range(1, self.max_inner_iters + 1):
+            theta_prev, u_k = (self.theta, u) if rows is None else (self.theta[rows], u[rows])
+            theta, explore = self.pool.solve(rows)  # a ridged fit explores
+            if not self._informed:
+                explore = explore | ((self.pool.n if rows is None else self.pool.n[rows]) < 3 * self.n_features)
+            u_next = self._next_actions(t, u_k, theta, explore, rows) if np.count_nonzero(explore) else (
+                self._optimize(t, u_k, theta))
+            self.pool.add(self._features(u_next, t), model.step(u_next, t, rows), rows)
+            # np.linalg.norm of each row without its wrapper: vecdot makes a row's dot call, where an
+            # einsum or a sum would add in another order
+            d_theta, d_u = (theta - theta_prev).reshape(len(theta), -1), u_next - u_k
+            theta_steps, action_steps = np.vecdot(d_theta, d_theta).tolist(), np.vecdot(d_u, d_u).tolist()
+            if rows is None:
+                self.theta, u = theta, u_next
             else:
-                u_next = self._optimize(t, u_k)
-            self.pool.add(self._features(u_next, t), model.step(u_next, t))
-            # np.linalg.norm of a real array, without its wrapper
-            d_theta = (self.theta - theta_prev).ravel()
-            d_u = u_next - u_k
-            theta_step = math.sqrt(d_theta @ d_theta)
-            action_step = math.sqrt(d_u @ d_u)
-            u_k = u_next
-            if theta_step < self.epsilon and action_step < self.eta:
-                converged = True
+                self.theta[rows], u[rows] = theta, u_next
+            left = []
+            for row, theta_step, action_step in zip(ids, theta_steps, action_steps):
+                if math.sqrt(theta_step) < self.epsilon and math.sqrt(action_step) < self.eta:
+                    self._inner[row].append(k)
+                    self._converged[row].append(True)
+                else:
+                    left.append(row)
+            if not left:
                 break
-        if not converged:
-            log.debug("period %d: inner loop hit max_inner_iters, using last iterate", t)
-        self.diagnostics["inner_iterations"].append(k + 1)
-        self.diagnostics["converged"].append(converged)
-        self.diagnostics["pooled_samples"] = self.pool.n
+            if len(left) < len(ids):
+                ids, rows = left, np.array(left)
+        else:
+            log.debug("period %d: %d rows hit max_inner_iters, using their last iterates", t, len(ids))
+            for row in ids:
+                self._inner[row].append(self.max_inner_iters)
+                self._converged[row].append(False)
+
+    def _next_actions(self, t, u_k, theta, explore, rows) -> np.ndarray:
+        """Each row's next trial: dithered around ``u_k`` while its fit is uninformative, else the fit's optimum."""
+        ids = np.arange(len(u_k)) if rows is None else rows
+        noise = [self._explore_rng[i].normal(0.0, self.explore_scale, size=self.control_dim)
+                 for i in ids[explore].tolist()]
+        dithered = _clip(u_k[explore] + noise, self.action_low, self.action_high)
+        if explore.all():
+            return dithered
+        u_next = np.empty_like(u_k)
+        u_next[explore] = dithered
+        u_next[~explore] = self._optimize(t, u_k[~explore], theta[~explore])
+        return u_next
 
 
 class OapeController(_ModelFitController):
@@ -528,26 +675,32 @@ class OapeController(_ModelFitController):
         super().__init__(y_star, control_dim, output_dim, **model_fit)
         self.offline_action_spread = positive("offline_action_spread", offline_action_spread)
 
-    def prepare(self, model, n_learning_paths, master_seed, replication):
-        self.learn_offline(
-            model, n_learning_paths, derive_int_seed(master_seed, replication=replication, tag="oape-learn")
-        )
+    def prepare(self, model, n_learning_paths, master_seed, replications):
+        self._start(len(replications))
+        seeds = [derive_int_seed(master_seed, replication=rep, tag="oape-learn") for rep in replications]
+        self.learn_offline(model, n_learning_paths, seeds)
         return 1
 
-    def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
-        """Pool ``n_paths`` random-action paths and freeze the fit."""
-        for path in random_action_paths(model, n_paths, seed, self.offline_action_spread, "oape"):
-            for t in range(1, path.horizon + 1):
-                self.pool.add(self._features(path.u[t - 1], t), path.y[t - 1])
+    def learn_offline(self, model: ProcessModel, n_paths: int, seed) -> None:
+        """Pool ``n_paths`` random-action paths for each row, a seed each (an int is one row), and freeze the fits."""
+        paths = []
+        for row, s in enumerate([seed] if np.ndim(seed) == 0 else seed):
+            with _for_row(row):
+                paths.append(random_action_paths(model, n_paths, s, self.offline_action_spread, "oape"))
+        u = np.array([[path.u for path in row] for row in paths])  # (R, n_paths, T, m_u)
+        y = np.array([[path.y for path in row] for row in paths])
+        for i in range(n_paths):  # each row adds its samples in the order of its paths, then periods
+            for t in range(1, model.T + 1):
+                self.pool.add(self._features(u[:, i, t - 1], t), y[:, i, t - 1])
         self.theta, _ = self.pool.solve()
 
-    def reset(self, model, seed):
-        if self.pool.n == 0:
+    def reset(self, model, seeds):
+        if not self.pool.n.all():
             raise ConfigError("OAPE controller must learn before running")
 
     def act(self, model, t):
-        # warm start: the action committed last period (zero at t = 1)
-        model.step(self._optimize(t, model.u_committed), t)
+        # warm starts: the actions committed last period (zero at t = 1)
+        model.step(self._optimize(t, model.u_committed, self.theta), t)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +716,9 @@ class RlPgsController(Controller):
     the current action, until the action increment falls below ``eta``.
     An iterate beyond ``guard_bound`` halves the step size; five failed
     halvings abort the period.  ``prepare`` fits ``params`` from
-    ``n_offline_paths`` paths of random actions.
+    ``n_offline_paths`` paths of random actions, for each row.  The rows
+    take their periods one after another, since each row's halvings depend
+    on its own data.
     """
 
     def __init__(self, params: PgsDistributionParams | None = None, /, *, y_star, variance_form: str = "time_linear",
@@ -581,13 +736,19 @@ class RlPgsController(Controller):
         self.n_offline_paths = integer("n_offline_paths", n_offline_paths)
         self.offline_action_spread = positive("offline_action_spread", offline_action_spread)
         self.offline_store: list[SamplePath] = []
+        self._row_params = None  # each row's fit, once ``prepare`` has made them
 
-    def prepare(self, model, n_learning_paths, master_seed, replication):
-        self.learn_offline(
-            model,
-            self.n_offline_paths,
-            derive_int_seed(master_seed, replication=replication, tag="pgs-learn"),
-        )
+    def prepare(self, model, n_learning_paths, master_seed, replications):
+        self._row_params = []
+        for row, rep in enumerate(replications):
+            self.offline_store = []
+            with _for_row(row):
+                self.learn_offline(
+                    model,
+                    self.n_offline_paths,
+                    derive_int_seed(master_seed, replication=rep, tag="pgs-learn"),
+                )
+            self._row_params.append(self.params)
         return n_learning_paths
 
     def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
@@ -595,23 +756,32 @@ class RlPgsController(Controller):
         self.offline_store += random_action_paths(model, n_paths, seed, self.offline_action_spread, "pgs")
         self.params = fit_pgs_params(self.offline_store, self.variance_form)
 
-    def reset(self, model, seed):
+    def reset(self, model, seeds):
         if self.params is None:
             raise ConfigError("PGS controller needs fitted distribution parameters")
-        self.diagnostics = {"inner_iterations": []}
+        self._fits = self._row_params or [self.params] * len(seeds)
+        self._inner = [[] for _ in seeds]  # each row's periods
+
+    def row_diagnostics(self, row):
+        return {"inner_iterations": list(self._inner[row])}
 
     def act(self, model, t):
-        u_prev = float(model.u_committed[0])
-        y_prev = float(model.y_committed[0])
+        committed = zip(model.u_committed[:, 0].tolist(), model.y_committed[:, 0].tolist())
+        for row, (u_prev, y_prev) in enumerate(committed):
+            with _for_row(row):
+                self._inner[row].append(self._act_row(model, t, [row], self._fits[row], u_prev, y_prev))
+
+    def _act_row(self, model, t, rows, params, u_prev, y_prev) -> int:
+        """One row's period from its committed action and output; returns its inner iteration count."""
         alpha = self.alpha_step
         halvings = 0
         while True:  # restart the period from the last committed action on divergence
             u_k = u_prev
-            y = float(model.step(np.array([u_k]), t)[0])
+            y = float(model.step([[u_k]], t, rows)[0, 0])
             diverged = False
             for k in range(self.max_inner_iters):
                 cost = (y - self.y_star) ** 2
-                grad = cost * self.params.score_u(y, y_prev, u_k, u_prev, t)
+                grad = cost * params.score_u(y, y_prev, u_k, u_prev, t)
                 u_next = u_k - alpha * grad
                 if abs(u_next) > self.guard_bound:
                     diverged = True
@@ -619,14 +789,13 @@ class RlPgsController(Controller):
                 if abs(u_next - u_k) < self.eta:
                     break
                 u_k = u_next
-                y = float(model.step(np.array([u_k]), t)[0])
+                y = float(model.step([[u_k]], t, rows)[0, 0])
             if not diverged:
-                break
+                return k + 1
             halvings += 1
             if halvings > 5:
                 raise PeriodAbortError(f"period {t}: iterates diverged after 5 step-size halvings")
             alpha /= 2.0
-        self.diagnostics["inner_iterations"].append(k + 1)
 
 
 # ---------------------------------------------------------------------------

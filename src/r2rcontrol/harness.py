@@ -133,58 +133,80 @@ class SummaryStats:
 # ---------------------------------------------------------------------------
 
 
-def run_replication(config: ExperimentConfig, rep: int, model: ProcessModel | None = None) -> RunResult:
-    """Execute one replication with seeds derived from (master_seed, rep).
+def run_replication(config: ExperimentConfig, rep, model: ProcessModel | None = None):
+    """Execute replication ``rep``, or a sequence of them as one stack, with seeds derived from (master_seed, rep).
 
-    ``model`` is the run's process; without it one is built from
-    ``config.process``, which re-runs one replication alone.  Every path
-    starts with ``model.reset(seed)``, so a model shared by the replications
-    of a run gives the results a fresh one would.
+    The replications advance together, period by period, on the rows of
+    ``model``, the run's process; without it one is built from
+    ``config.process``, which re-runs one replication alone.  A row's
+    numbers do not depend on the other rows, so a stack gives each
+    replication the result it gets alone.  Returns a :class:`RunResult`
+    for an index and a list of them for a sequence.
 
     A toolkit error from offline learning or from a path is re-raised as
     the same type, its message prefixed with the replication, the path
-    index and the path seed, so the failure can be re-run alone.
+    index and the path seed, so the failure can be re-run alone.  When
+    several replications fail, it is the lowest one's, as in a run of one
+    replication after another: a stack that meets a failure first re-runs
+    the replications below it.
     """
     if model is None:
         model = process_from_config(config.process)
+    reps = [rep] if np.ndim(rep) == 0 else list(rep)
+    failure = None
+    while True:
+        try:
+            results = _run_stack(config, reps, model)
+        except R2RError as exc:
+            if not exc.row:  # the stack's first replication: no lower one is left to fail
+                raise
+            failure, reps = exc, reps[: exc.row]
+            continue
+        if failure is not None:
+            raise failure
+        return results[0] if np.ndim(rep) == 0 else results
+
+
+def _run_stack(config: ExperimentConfig, reps: list, model: ProcessModel) -> list[RunResult]:
     y_star = np.asarray(config.y_star, dtype=float)
     controller = controller_from_config(config.controller, model, y_star)
-    per_path_costs = []
-    where = "offline learning"
+    costs = [[] for _ in reps]
+    seeds = None  # the seeds of the path running, once offline learning is done
     try:
-        n_paths = controller.prepare(model, config.n_learning_paths, config.master_seed, rep)
+        n_paths = controller.prepare(model, config.n_learning_paths, config.master_seed, reps)
         for i in range(n_paths):
-            seed = derive_int_seed(config.master_seed, replication=rep, tag="path", index=i)
-            where = f"path {i} (seed {seed})"
-            path = simulate_path(model, controller, seed)
-            per_path_costs.append(total_cost(path, y_star))
+            seeds = [derive_int_seed(config.master_seed, replication=rep, tag="path", index=i) for rep in reps]
+            paths = simulate_path(model, controller, seeds)
+            for row_costs, path in zip(costs, paths):
+                row_costs.append(total_cost(path, y_star))
     except R2RError as exc:
-        exc.args = (f"replication {rep}, {where}: {exc}",) + exc.args[1:]
+        row = exc.row or 0
+        where = "offline learning" if seeds is None else f"path {i} (seed {seeds[row]})"
+        exc.args = (f"replication {reps[row]}, {where}: {exc}",) + exc.args[1:]
         raise
-    diagnostics = dict(controller.diagnostics)
-    diagnostics["kind"] = config.controller.get("kind")
-    return RunResult(
-        path=path,
-        total_cost=per_path_costs[-1],
-        mse=per_path_costs[-1] / path.horizon,
-        per_path_costs=per_path_costs,
-        diagnostics=diagnostics,
-    )
+    results = []
+    for row, (path, row_costs) in enumerate(zip(paths, costs)):
+        diagnostics = controller.row_diagnostics(row)
+        diagnostics["kind"] = config.controller.get("kind")
+        results.append(RunResult(path=path, total_cost=row_costs[-1], mse=row_costs[-1] / path.horizon,
+                                 per_path_costs=row_costs, diagnostics=diagnostics))
+    return results
 
 
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
-    """All replications on the run's one process model, in index order, serially or on ``threads`` workers.
+    """All replications on the run's one process model, in index order: one stack, or one per worker under ``threads``.
 
+    Each of the ``threads`` workers runs a contiguous stack of replications.
     A ``y_star`` of the wrong length is a :class:`ConfigError` before any path runs or any worker starts.
     """
     model = process_from_config(config.process)
     if len(config.y_star) != model.output_dim:
         raise ConfigError(f"y_star has {len(config.y_star)} coordinates, process emits {model.output_dim}")
-    args = (repeat(config), range(config.replications), repeat(model))
     if config.threads == 1:
-        return list(map(run_replication, *args))
+        return run_replication(config, range(config.replications), model)
+    stacks = [s.tolist() for s in np.array_split(np.arange(config.replications), config.threads) if s.size]
     with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(run_replication, *args))
+        return [res for stack in pool.map(run_replication, repeat(config), stacks, repeat(model)) for res in stack]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Seeded stochastic simulators for the five process families.
 
 Each simulator is a single-threaded state machine over integer periods
-t = 1..T.  ``step(u, t)`` draws the period-t output from the committed
-state at t-1 without advancing; ``commit()`` promotes the most recent
-draw to the committed state.  A feedback controller's ``act`` calls
-``step`` once or, to try several actions within one period, repeatedly;
-``Controller.run_path`` then calls ``commit`` once per period and records
-the committed action, output and disturbance (``d_committed``, None outside
-ARIMA).  A path whose actions are fixed before period 1 (no control, random
-or oracle actions) goes through ``run_open_loop`` instead, which draws the
-whole path's noise at once.  ``reset``, ``commit`` and ``run_open_loop`` set
-the committed record through one function.  A family supplies one hook, its
-output equation ``_draw_path(u, t0)``, which reads the committed state and
-returns its successor, and one constant, its state before period 1
-(``initial_state``).  ``step`` is the one-row case of ``_draw_path``, so a
-stepped and an open-loop path give the same bits.
+t = 1..T that runs R paths in lockstep, one per row: ``reset`` takes one
+seed per row and gives each row its own stream, and the committed state
+has a leading row axis.  ``step(u, t, rows)`` draws the period-t outputs
+of some rows (all by default) from their committed state at t-1 without
+advancing; ``commit()`` promotes every row's most recent draw.  A feedback
+controller's ``act`` calls ``step`` once or, to try several actions within
+one period, repeatedly; ``Controller.run_path`` then calls ``commit`` once
+per period and records the committed actions, outputs and disturbances
+(``d_committed``, None outside ARIMA).  Paths whose actions are fixed
+before period 1 (no control, random or oracle actions) go through
+``run_open_loop`` instead, which draws each row's whole path at once.
+``reset``, ``commit`` and ``run_open_loop`` set the committed record
+through one function.  A family supplies one hook, its output equation
+``_draw_path(u, t0, rows)``, which reads the rows' committed state and
+returns its successor, and one constant, one row's state before period 1
+(``initial_state``).  ``step`` is the one-period case of ``_draw_path``, so
+a stepped and an open-loop path give the same bits; every row draws from
+its own stream and every stacked product gives a row the bits of its own,
+so a row's path does not depend on the other rows.
 
 Families:
 
@@ -179,43 +184,66 @@ class GammaParams:
 # ---------------------------------------------------------------------------
 
 
+def _columns(a: np.ndarray) -> list:
+    """The columns of a (k, n) array in order: (k,) arrays or, for one row, Python floats.
+
+    A float rounds as float64 elementwise arithmetic does, without a numpy
+    call's cost, so a recursion over the columns gives one row the bits of
+    its stacked run.
+    """
+    return a[0].tolist() if len(a) == 1 else list(a.T)
+
+
+def _stack_columns(columns: list) -> np.ndarray:
+    """The (k, n) array whose columns ``_columns`` gave, or a recursion made from them."""
+    return np.array(columns).reshape(len(columns), -1).T
+
+
 class ProcessModel:
-    """Stateful simulator contract: draw y_t for a trial action, commit once."""
+    """Stateful simulator of R rows in lockstep: draw each row's y_t for a trial action, commit once a period.
+
+    Every row is one path with its own seed and stream; the rows share the
+    parameters and the period.  The committed record has a leading row axis.
+    """
 
     control_dim: int
     output_dim: int
     family: str
-    initial_state = None  # the family's disturbance state before period 1
+    initial_state = None  # one row's disturbance state before period 1
 
     def __init__(self, horizon: int, y0):
         self.T = int(horizon)
         self.y0 = np.array(y0, dtype=float, ndmin=1)  # a copy: never aliases the params
         self.reset(0)
 
-    def reset(self, seed: int) -> None:
-        self.seed = int(seed)
-        self._rng = make_rng(self.seed, tag=self.family)
-        self._promote(0, np.zeros((1, self.control_dim)), self.y0[None], None, self.initial_state)
+    def reset(self, seed) -> None:
+        """Start one row per seed of a sequence at period 0, each with its own stream; an int is one row."""
+        self.seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
+        self.rows = len(self.seeds)
+        self._rng = tuple(make_rng(s, tag=self.family) for s in self.seeds)
+        state = None if self.initial_state is None else np.array([self.initial_state] * self.rows)
+        y0 = np.repeat(self.y0[None], self.rows, axis=0)
+        self._promote(0, np.zeros((self.rows, self.control_dim)), y0, None, state)
 
     def _promote(self, period: int, u: np.ndarray, y: np.ndarray, d, state) -> None:
-        """Commit the last row of a draw as period ``period``: its action, output,
-        disturbance (None before period 1 or for a family without one) and state."""
+        """Commit every row as period ``period``: its action, output, disturbance (None before
+        period 1 or for a family without one) and state."""
         self.period = period
-        self.u_committed = u[-1].copy()
-        self.y_committed = y[-1].copy()
-        self.d_committed = None if d is None else float(d[-1])
+        self.u_committed = u.copy()
+        self.y_committed = y.copy()
+        self.d_committed = None if d is None else d.copy()
         self._state = state
         self._pending = None
 
-    def _check_step(self, u: np.ndarray, t: int) -> np.ndarray:
-        u = np.array(u, dtype=float, ndmin=1, copy=None)
-        if u.shape != (self.control_dim,):
-            raise DimensionError(
-                f"action has length {u.shape[0]}, process expects {self.control_dim}"
-            )
-        # per element in Python: a numpy reduction costs more than the draw itself
-        if not all(map(math.isfinite, u.tolist())):
-            raise NonFiniteActionError(f"action at period {t} is not finite: {u}")
+    def _check_step(self, u, t: int, rows) -> np.ndarray:
+        n = self.rows if rows is None else len(rows)
+        if u.shape != (n, self.control_dim):
+            raise DimensionError(f"actions have shape {u.shape}, process expects {(n, self.control_dim)}")
+        # per element in Python: a numpy reduction costs more than a step's draw
+        if not all(map(math.isfinite, u.ravel().tolist())):
+            j = int(np.argmin(np.isfinite(u).all(axis=1)))
+            raise NonFiniteActionError(f"action at period {t} is not finite: {u[j]}").on_row(
+                j if rows is None else int(rows[j]))
         if not 1 <= t <= self.T:
             raise HorizonError(f"period {t} outside horizon 1..{self.T}")
         if t != self.period + 1:
@@ -224,52 +252,93 @@ class ProcessModel:
             )
         return u
 
-    def step(self, u, t: int) -> np.ndarray:
-        """Draw y_t from the committed t-1 state; repeatable, does not advance."""
-        u = self._check_step(u, t)[None]
-        y, d, state = self._draw_path(u, t)
-        self._pending = (u, y, d, state)
-        return y[0]
+    def _draws(self, rows, method, *args) -> np.ndarray:
+        """``method(g, *args)``, a ``Generator`` method, for the stream ``g`` of each of ``rows`` (None: all).
+
+        The draws are stacked on a leading row axis.
+        """
+        streams = self._rng if rows is None else [self._rng[i] for i in rows]
+        if len(streams) == 1:
+            return method(streams[0], *args)[None]
+        return np.array([method(g, *args) for g in streams])
+
+    def step(self, u, t: int, rows=None) -> np.ndarray:
+        """Draw y_t of ``rows`` (an index array; all rows by default) from their committed t-1 state.
+
+        ``u`` holds one action per stepped row; the model keeps it until the
+        commit, so the caller must not change it before then.  Repeatable,
+        does not advance: ``commit`` promotes each row's latest draw.  A
+        one-row model also takes one (m_u,) action and returns its (m_y,)
+        output.
+        """
+        u = np.array(u, dtype=float, copy=None)
+        one = u.ndim == 1
+        u = self._check_step(u[None] if one else u, t, rows)
+        y, d, state = self._draw_path(u[:, None], t, rows)
+        y, d = y[:, 0], None if d is None else d[:, 0]
+        if rows is None:
+            self._pending = (u, y, d, state, None)
+        else:
+            held = self._pending
+            if held is None:  # the rows' first draw this period: the other rows have none yet
+                held = tuple(None if like is None else np.empty((self.rows, *like.shape[1:]))
+                             for like in (u, y, d, state)) + (np.zeros(self.rows, dtype=bool),)
+            elif held[4] is None:  # every row's draw, whose outputs the caller holds: copied, not written over
+                held = tuple(None if a is None else a.copy() for a in held[:4]) + (np.ones(self.rows, dtype=bool),)
+            for slot, value in zip(held, (u, y, d, state, True)):
+                if slot is not None:
+                    slot[rows] = value
+            self._pending = held
+        return y[0] if one else y
 
     def commit(self) -> np.ndarray:
-        """Promote the latest draw to the committed state, advancing one period."""
-        if self._pending is None:
+        """Promote every row's latest draw to the committed state, advancing one period; returns the outputs."""
+        held = self._pending
+        if held is None or (held[4] is not None and not held[4].all()):
             raise HorizonError("no pending draw to commit")
-        u, y, d, state = self._pending
+        u, y, d, state, _ = held
         self._promote(self.period + 1, u, y, d, state)
-        return y[0]
+        return y
 
     def run_open_loop(self, u) -> tuple[np.ndarray, np.ndarray | None]:
-        """Run periods 1..T under actions fixed in advance, ``u`` of shape (T, m_u).
+        """Run periods 1..T of every row under actions fixed in advance, ``u`` of shape (R, T, m_u).
 
         Starts from the state ``reset`` left.  The family's ``_draw_path``
-        draws the whole path's noise in one call; ``step`` is its one-period
-        case and takes from the generator what one row takes, so the outputs
-        equal a ``step``/``commit`` loop's bit for bit, and the model is left
-        committed at period T as that loop leaves it.  Returns the (T, m_y)
-        outputs and the (T,) disturbances, None for a family without them.
+        draws each row's whole path in one call on its stream; ``step`` is its
+        one-period case and takes from each stream what one period takes, so
+        the outputs equal a ``step``/``commit`` loop's bit for bit, and the
+        model is left committed at period T as that loop leaves it.  Returns
+        the (R, T, m_y) outputs and the (R, T) disturbances, None for a family
+        without them.  A one-row model also takes (T, m_u) actions and returns
+        (T, m_y) and (T,).
         """
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.T, self.control_dim):
-            raise DimensionError(
-                f"open-loop actions have shape {u.shape}, process expects {(self.T, self.control_dim)}"
-            )
-        finite = np.isfinite(u).all(axis=1)
+        one = u.ndim == 2
+        if one:
+            u = u[None]
+        if u.shape != (self.rows, self.T, self.control_dim):
+            expected = (self.rows, self.T, self.control_dim)[one:]
+            raise DimensionError(f"open-loop actions have shape {u.shape[one:]}, process expects {expected}")
+        finite = np.isfinite(u).all(axis=2)
         if not finite.all():
-            t = int(np.argmin(finite)) + 1
-            raise NonFiniteActionError(f"action at period {t} is not finite: {u[t - 1]}")
+            row, t = np.argwhere(~finite)[0].tolist()  # the first row, then its first period
+            raise NonFiniteActionError(f"action at period {t + 1} is not finite: {u[row, t]}").on_row(row)
         if self.period != 0 or self._pending is not None:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
-        y, d, state = self._draw_path(u, 1)
-        self._promote(self.T, u, y, d, state)
+        y, d, state = self._draw_path(u, 1, None)
+        self._promote(self.T, u[:, -1], y[:, -1], None if d is None else d[:, -1], state)
+        if one:
+            return y[0], None if d is None else d[0]
         return y, d
 
     # family-specific -------------------------------------------------------
 
-    def _draw_path(self, u: np.ndarray, t0: int):
-        """Periods t0..t0+len(u)-1 under actions ``u`` from the committed state.
+    def _draw_path(self, u: np.ndarray, t0: int, rows):
+        """Periods t0..t0+n-1 of ``rows`` (None: all) under their (len(rows), n, m_u) actions ``u``.
 
-        Returns (outputs, disturbances or None, the successor of ``self._state``).
+        Reads each row's committed state and draws from its stream.  Returns
+        the (len(rows), n, m_y) outputs, the (len(rows), n) disturbances or
+        None, and the rows' successor of ``self._state``.
         """
         raise NotImplementedError
 
@@ -286,18 +355,17 @@ class LinearCmpProcess(ProcessModel):
         # symmetric PSD factor so non-diagonal Lambda is accepted
         vals, vecs = np.linalg.eigh(params.Lambda)
         self._noise_factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+        self._drift = np.outer(np.arange(1.0, params.T + 1), params.delta)  # delta * t for t = 1..T
         super().__init__(params.T, params.A)
 
-    def _draw_path(self, u, t0):
+    def _draw_path(self, u, t0, rows):
         p = self.params
-        z = self._rng.standard_normal((len(u), self.output_dim))
-        if len(u) == 1:  # a step
-            return (p.A + p.B @ u[0] + p.delta * t0 + self._noise_factor @ z[0])[None], None, None
-        # stacked matrix-vector products: each slice is the GEMV of B @ u[i], where a U @ B.T
-        # would be one GEMM, which may differ in the last bit
-        t = np.arange(t0, t0 + len(u))
-        y = p.A + np.matmul(p.B, u[:, :, None])[:, :, 0] + p.delta * t[:, None]
-        return y + np.matmul(self._noise_factor, z[:, :, None])[:, :, 0], None, None
+        n = u.shape[1]
+        z = self._draws(rows, np.random.Generator.standard_normal, (n, self.output_dim))
+        # stacked matrix-vector products: each slice is the GEMV of B @ u, where one product of
+        # all the actions with B.T would be a GEMM, which may differ in the last bit
+        y = p.A + np.matmul(p.B, u[..., None])[..., 0] + self._drift[t0 - 1:t0 - 1 + n]
+        return y + np.matmul(self._noise_factor, z[..., None])[..., 0], None, None
 
 
 class ArimaProcess(ProcessModel):
@@ -316,17 +384,18 @@ class ArimaProcess(ProcessModel):
         self.params = params
         super().__init__(params.T, params.a)
 
-    def _draw_path(self, u, t0):
+    def _draw_path(self, u, t0, rows):
         p = self.params
-        d, dd, w_prev = self._state
+        w = self._draws(rows, np.random.Generator.normal, 0.0, p.sigma, u.shape[1])
+        d, dd, w_prev = _columns(self._state if rows is None else self._state[rows])
         ds = []
-        for w in self._rng.normal(0.0, p.sigma, size=len(u)).tolist():
-            dd = p.phi * dd + w - p.theta * w_prev
+        for w_t in _columns(w):  # one period of every row
+            dd = p.phi * dd + w_t - p.theta * w_prev
             d = d + dd
             ds.append(d)
-            w_prev = w
-        ds = np.array(ds)
-        return (p.a + p.b * u[:, 0] + ds)[:, None], ds, (d, dd, w_prev)
+            w_prev = w_t
+        ds = _stack_columns(ds)
+        return (p.a + p.b * u[..., 0] + ds)[..., None], ds, _stack_columns([d, dd, w_prev])
 
 
 class QuadraticCmpProcess(ProcessModel):
@@ -339,6 +408,8 @@ class QuadraticCmpProcess(ProcessModel):
     def __init__(self, params: QuadraticCmpParams):
         self.params = params
         self._noise_sd = np.array([params.noise1, params.noise2])
+        self._coeffs = np.array([params.coeffs1, params.coeffs2])
+        self._drift = np.outer(np.arange(1.0, params.T + 1), [params.drift1, params.drift2])  # drift * t, t = 1..T
         super().__init__(params.T, [params.coeffs1[0], params.coeffs2[0]])
 
     @staticmethod
@@ -355,17 +426,24 @@ class QuadraticCmpProcess(ProcessModel):
         """The ``quad_terms`` of a length-3 action, an array or a list, as a float64 array."""
         return np.array(cls.quad_terms(*(u.tolist() if isinstance(u, np.ndarray) else u)))
 
-    def mean_response(self, u: np.ndarray, t: int) -> np.ndarray:
-        f = self.quad_features(np.asarray(u, dtype=float))
-        p = self.params
-        return np.array(
-            [f @ p.coeffs1 + p.drift1 * t, f @ p.coeffs2 + p.drift2 * t]
-        )
+    def mean_response(self, u, t: int) -> np.ndarray:
+        """The noise-free outputs at action ``u`` in period t of the horizon."""
+        return self._means(np.asarray(u, dtype=float)[None, None], t)[0, 0]
 
-    def _draw_path(self, u, t0):
-        eps = self._rng.standard_normal((len(u), 2)) * self._noise_sd
-        mean = np.array([self.mean_response(u[i], t0 + i) for i in range(len(u))])
-        return mean + eps, None, None
+    def _means(self, u: np.ndarray, t0: int) -> np.ndarray:
+        """The noise-free outputs at the (k, n, 3) actions in periods t0..t0+n-1.
+
+        Each is the DOT of the action's ``quad_terms`` with an output's
+        coefficients, ``vecdot`` making one call a pair, plus its drift.
+        """
+        k, n = u.shape[:2]
+        terms = np.array([self.quad_terms(*u_t) for u_t in u.reshape(-1, 3).tolist()])
+        return np.vecdot(terms.reshape(k, n, 1, 10), self._coeffs) + self._drift[t0 - 1:t0 - 1 + n]
+
+    def _draw_path(self, u, t0, rows):
+        n = u.shape[1]
+        eps = self._draws(rows, np.random.Generator.standard_normal, (n, 2)) * self._noise_sd
+        return self._means(u, t0) + eps, None, None
 
 
 class _AdditiveControlProcess(ProcessModel):
@@ -380,19 +458,20 @@ class _AdditiveControlProcess(ProcessModel):
         self.params = params
         super().__init__(params.T, params.y0)
 
-    def _increments(self, size: int) -> np.ndarray:
-        """``size`` uncontrolled increments from the model's stream."""
+    def _increments(self, rows, size: int) -> np.ndarray:
+        """``size`` uncontrolled increments of each of ``rows`` (None: all), each from its row's stream."""
         raise NotImplementedError
 
-    def _draw_path(self, u, t0):
+    def _draw_path(self, u, t0, rows):
         gain = self.params.control_gain
-        (y,), (u_prev,) = self.y_committed.tolist(), self.u_committed.tolist()
+        (y,), (u_prev,) = (_columns(a if rows is None else a[rows]) for a in (self.y_committed, self.u_committed))
+        inc = self._increments(rows, u.shape[1])
         ys = []
-        for inc, (u_t,) in zip(self._increments(len(u)).tolist(), u.tolist()):
-            y = y + inc + gain * (u_t - u_prev)
+        for inc_t, u_t in zip(_columns(inc), _columns(u[..., 0])):  # one period of every row
+            y = y + inc_t + gain * (u_t - u_prev)
             u_prev = u_t
             ys.append(y)
-        return np.array(ys)[:, None], None, None
+        return _stack_columns(ys)[..., None], None, None
 
 
 class WienerProcess(_AdditiveControlProcess):
@@ -404,9 +483,9 @@ class WienerProcess(_AdditiveControlProcess):
 
     family = "wiener"
 
-    def _increments(self, size):
+    def _increments(self, rows, size):
         p = self.params
-        return p.v + p.sigma * self._rng.standard_normal(size)
+        return p.v + p.sigma * self._draws(rows, np.random.Generator.standard_normal, size)
 
 
 class GammaProcess(_AdditiveControlProcess):
@@ -418,9 +497,9 @@ class GammaProcess(_AdditiveControlProcess):
 
     family = "gamma"
 
-    def _increments(self, size):
+    def _increments(self, rows, size):
         p = self.params
-        return self._rng.gamma(p.alpha, p.scale, size)
+        return self._draws(rows, np.random.Generator.gamma, p.alpha, p.scale, size)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +507,12 @@ class GammaProcess(_AdditiveControlProcess):
 # ---------------------------------------------------------------------------
 
 
-def simulate_path(model: ProcessModel, policy, seed: int) -> SamplePath:
+def simulate_path(model: ProcessModel, policy, seed) -> SamplePath | list[SamplePath]:
     """Reset ``model`` to ``seed`` and run one T-period trajectory under ``policy``.
 
-    Identical (model, policy, seed) triples produce bit-identical paths.
+    A sequence of seeds runs one row per seed in lockstep and returns one
+    path per row.  Identical (model, policy, seed) triples produce
+    bit-identical paths, and a row's path does not depend on the other rows.
     ``policy`` is any :class:`r2rcontrol.controllers.Controller`.
     """
     model.reset(seed)

@@ -127,6 +127,16 @@ def analytic_bounds(moments: RatioMoments, eta: float) -> tuple[float, float]:
     )
 
 
+def _project_rows(proj: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``proj @ r`` for each row ``r`` of ``rows``, as a stack of GEMVs.
+
+    One product of all the rows with ``proj.T`` would be a GEMM, whose last
+    bits depend on the row count and the BLAS thread count; a row's GEMV
+    depends on neither.
+    """
+    return np.matmul(proj, rows[:, :, None])[:, :, 0]
+
+
 def theorem2_bound_check(
     config: BoundConfig, etas, n_trials: int, seed: int
 ) -> list[BoundReport]:
@@ -145,13 +155,12 @@ def theorem2_bound_check(
     moments = bound_moments(config, X)
     proj = np.linalg.solve(X.T @ X, X.T)  # (2, n)
     # The noise is drawn in row blocks, in stream order, so each block holds the rows the whole
-    # (n_trials, n_offline) draw would.  The GEMM's last bits depend on the block's row count, as
-    # they do on the BLAS thread count; a frequency moves only if an error lies within an ulp of eta.
+    # (n_trials, n_offline) draw would.
     noise_proj = np.empty((n_trials, 2))
     for start, stop in _row_blocks(n_trials, config.n_offline):
         noise = rng.standard_normal((stop - start, config.n_offline))
         noise *= config.sigma
-        noise_proj[start:stop] = noise @ proj.T
+        noise_proj[start:stop] = _project_rows(proj, noise)
     theta_hat = np.array([config.b, config.c]) + noise_proj  # (n_trials, 2)
     u_hat = (config.y_star - theta_hat[:, 1]) / theta_hat[:, 0]
     u_star = (config.y_star - config.c) / config.b

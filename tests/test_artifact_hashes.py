@@ -13,7 +13,11 @@ stable fixture.
 """
 
 import hashlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -146,6 +150,19 @@ def test_parallel_artifacts_match_recorded_digests(tmp_path):
     serial_only = ("quadratic/", "theory/")
     _assert_recorded(write_artifacts(tmp_path, threads=2),
                      {k: v for k, v in EXPECTED.items() if not k.startswith(serial_only)})
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_digests_do_not_depend_on_the_blas_thread_count(blas_threads, tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each count runs in a fresh interpreter
+    tests = pathlib.Path(__file__).parent
+    code = ("import json, pathlib, sys; from test_artifact_hashes import write_artifacts; "
+            "print(json.dumps(write_artifacts(pathlib.Path(sys.argv[1]))))")
+    path = os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    _assert_recorded(json.loads(out.stdout), EXPECTED)
 
 
 # a preset run and every protocol at a small size, without an output directory

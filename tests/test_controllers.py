@@ -351,10 +351,11 @@ def test_solve_matches_numpy_solve_bit_for_bit():
     # the pooled fit's Gram and X'y are strided column views of one array
     pool = _PooledFit(11, 2)
     for _ in range(40):
-        pool.add(rng.normal(size=11), rng.normal(size=2))
-    assert not pool.gram.flags.c_contiguous
-    assert _same_bits(_solve(pool.gram, pool.xty), np.linalg.solve(pool.gram, pool.xty))
-    assert _same_bits(_solve(pool.gram, pool.xty[:, 0]), np.linalg.solve(pool.gram, pool.xty[:, 0]))
+        pool.add(rng.normal(size=(1, 11)), rng.normal(size=(1, 2)))
+    gram, xty = pool.gram[0], pool.xty[0]
+    assert not gram.flags.c_contiguous
+    assert _same_bits(_solve(gram, xty), np.linalg.solve(gram, xty))
+    assert _same_bits(_solve(gram, xty[:, 0]), np.linalg.solve(gram, xty[:, 0]))
 
 
 @pytest.mark.parametrize("a", [[[1.0, 2.0], [2.0, 4.0]], np.zeros((3, 3))], ids=["rank_one", "zero"])
@@ -451,9 +452,11 @@ def test_rl_alg1_deterministic_in_seed():
 
 
 def test_pooled_ridge_decision_matches_the_condition_number(monkeypatch):
-    # two cmp_rl replications at preset size: every solve's ridge flag against the exact condition number
-    real_solve, real_svd, real_cond = _PooledFit.solve, np.linalg.svd, np.linalg.cond
-    counts = {"solves": 0, "svds": 0, "ridged": 0, "period_one_ridged": 0}
+    # two cmp_rl replications at preset size, stacked: every row's ridge flag against the exact condition number
+    real_solve, real_near_singular, real_svd, real_cond = (
+        _PooledFit.solve, _PooledFit._near_singular, np.linalg.svd, np.linalg.cond)
+    counts = [{"solves": 0, "svds": 0, "ridged": 0, "period_one_ridged": 0} for _ in range(2)]
+    svds = []
 
     def reference_ridged(gram, xty) -> bool:
         try:
@@ -462,34 +465,43 @@ def test_pooled_ridge_decision_matches_the_condition_number(monkeypatch):
             return True
         return not np.all(np.isfinite(theta)) or bool(real_cond(gram) > 1e12)
 
-    def checked_solve(pool):
-        gram, xty = pool.gram.copy(), pool.xty.copy()
-        theta, ridged = real_solve(pool)
-        assert ridged == reference_ridged(gram, xty), f"solve {counts['solves']} with {pool.n} samples"
-        counts["solves"] += 1
-        counts["ridged"] += ridged
-        # period 1 adds 1 + k samples by inner iteration k, with the intercept and t columns equal
-        counts["period_one_ridged"] += ridged and pool.n <= 21 and np.array_equal(gram[0], gram[-1])
+    def checked_solve(pool, rows=None):
+        ids = list(range(pool.n.size)) if rows is None else list(rows)
+        grams, xtys = pool.gram[ids].copy(), pool.xty[ids].copy()
+        theta, ridged = real_solve(pool, rows)
+        for j, row in enumerate(ids):
+            gram, row_ridged, c = grams[j], bool(ridged[j]), counts[row]
+            assert row_ridged == reference_ridged(gram, xtys[j]), f"solve {c['solves']} of row {row}"
+            c["solves"] += 1
+            c["ridged"] += row_ridged
+            # period 1 adds 1 + k samples by inner iteration k, with the intercept and t columns equal
+            c["period_one_ridged"] += row_ridged and pool.n[row] <= 21 and np.array_equal(gram[0], gram[-1])
         return theta, ridged
+
+    def row_near_singular(pool, row):
+        # the SVDs taken for a row
+        before = len(svds)
+        near = real_near_singular(pool, row)
+        counts[row]["svds"] += len(svds) - before
+        return near
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            counts["svds"] += 1
+            svds.append(1)
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(_PooledFit, "solve", checked_solve)
+    monkeypatch.setattr(_PooledFit, "_near_singular", row_near_singular)
     # an SVD is taken through either function
     monkeypatch.setattr(np.linalg, "svd", counted(real_svd))
     monkeypatch.setattr(np.linalg, "cond", counted(real_cond))
-    config = preset_config("cmp_rl")
-    for rep in range(2):
-        for key in counts:
-            counts[key] = 0
-        run_replication(config, rep)
-        assert counts["solves"] > 1000
-        assert counts["ridged"] == counts["period_one_ridged"] == 20
-        assert 1 <= counts["svds"] <= 10
+    run_replication(preset_config("cmp_rl"), [0, 1])
+    for c in counts:
+        assert c["solves"] > 1000
+        assert c["ridged"] == c["period_one_ridged"] == 20
+        assert 1 <= c["svds"] <= 10
+    assert len(svds) == sum(c["svds"] for c in counts)  # every SVD is one row's
 
 
 @pytest.mark.parametrize("gram", [np.diag([4.0, 1.0, 0.0]), np.zeros((3, 3))], ids=["rank_two", "zero"])
@@ -499,7 +511,23 @@ def test_singular_gram_is_near_singular_without_a_warning(gram):
     assert np.linalg.cond(gram) == np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert pool._near_singular()
+        assert pool._near_singular(0)
+
+
+@pytest.mark.parametrize("second", ["overflowing", "singular"])
+def test_finite_fit_whose_sum_overflows_is_not_ridged(second):
+    # row 0's entries are finite and their sum is inf: its fit is the plain solve, whatever the other row holds
+    pool = _PooledFit(2, 1, rows=2)
+    pool.gram[:] = np.eye(2)
+    pool.xty[:] = 1.5e308
+    if second == "singular":
+        pool.gram[1], pool.xty[1] = 0.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, ridged = pool.solve()
+    assert _same_bits(theta[0], np.linalg.solve(np.eye(2), np.full((2, 1), 1.5e308)))
+    assert ridged.tolist() == [False, second == "singular"]
+    assert np.isfinite(theta).all()
 
 
 def test_rl_alg1_quadratic_family_needs_three_controls():

@@ -192,8 +192,18 @@ def test_one_model_per_run_gives_the_results_of_fresh_models(name, monkeypatch):
     run_experiment(cfg)
     assert len(built) == 1
     built.clear()
+    stacks = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def map(self, fn, config, reps, model):
+            reps = list(reps)
+            stacks.extend(reps)
+            return super().map(fn, config, reps, model)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     threaded = run_replications(dataclasses.replace(cfg, threads=2))
     assert len(built) == 1
+    assert stacks == [[0, 1], [2]]  # three replications on two workers: uneven stacks
     assert all(_same_result(a, b) for a, b in zip(threaded, shared, strict=True))
 
 
@@ -222,6 +232,19 @@ def test_failing_replication_names_its_index_and_seed(threads):
     seed = derive_int_seed(5, replication=0, tag="path", index=0)
     with pytest.raises(PeriodAbortError, match=rf"^replication 0, path 0 \(seed {seed}\): period 1: "):
         run_replications(cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lowest_failing_replication_is_reported_when_a_higher_one_fails_first(threads):
+    # replication 4 aborts in path 0 (period 78); replication 0 only in path 1 (period 41), and 3 in path 1
+    # (period 76): a run of one replication after another meets replication 0's abort first
+    cfg = preset_config("gamma_pgs", master_seed=46, replications=5, n_learning_paths=2, threads=threads)
+    cfg.controller["n_offline_paths"] = 20
+    seed = derive_int_seed(46, replication=0, tag="path", index=1)
+    with pytest.raises(PeriodAbortError, match=rf"^replication 0, path 1 \(seed {seed}\): period 41: "):
+        run_replications(cfg)
+    with pytest.raises(PeriodAbortError, match=r"^replication 4, path 0 \(seed \d+\): period 78: "):
+        run_replication(cfg, 4)
 
 
 def test_replication_seeding_is_stable():

@@ -266,8 +266,9 @@ FAMILIES = {
 
 
 def _model_state(model) -> dict:
-    """Every attribute of the model but its parameters, its generator as the generator's state."""
-    return {k: v.bit_generator.state if k == "_rng" else v for k, v in vars(model).items() if k != "params"}
+    """Every attribute of the model but its parameters, its generators as their states."""
+    return {k: [g.bit_generator.state for g in v] if k == "_rng" else v
+            for k, v in vars(model).items() if k != "params"}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -342,3 +343,81 @@ def test_non_finite_action_is_its_own_error_naming_the_period(bad):
     u[6, 1] = bad
     with pytest.raises(NonFiniteActionError, match="action at period 7 is not finite"):
         model.run_open_loop(u)
+
+
+# --- the row axis -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_row_stack_gives_each_row_the_bytes_of_its_own_model(family):
+    # four rows in lockstep against four one-row models: steps of every row, redraws of subsets, commits,
+    # then an open-loop path of every row
+    seeds = [31, 7, 2**62 + 5, 0]
+    stack, singles = FAMILIES[family](), [FAMILIES[family]() for _ in seeds]
+    rng = make_rng(9, tag=f"row-stack-{family}")
+    m_u = stack.control_dim
+    stack.reset(seeds)
+    for model, seed in zip(singles, seeds):
+        model.reset(seed)
+    for t in range(1, stack.T + 1):
+        u = rng.normal(0.0, 2.0, size=(len(seeds), m_u))
+        y = stack.step(u, t)
+        for i, model in enumerate(singles):
+            assert model.step(u[i], t).tobytes() == y[i].tobytes()
+        for _ in range(t % 3):
+            rows = np.flatnonzero(rng.random(len(seeds)) < 0.5)
+            rows = rows if rows.size else np.array([t % len(seeds)])
+            u = rng.normal(0.0, 2.0, size=(len(rows), m_u))
+            y = stack.step(u, t, rows)
+            for j, i in enumerate(rows):
+                assert singles[i].step(u[j], t).tobytes() == y[j].tobytes()
+        y = stack.commit()
+        for i, model in enumerate(singles):
+            assert model.commit().tobytes() == y[i].tobytes()
+            assert model.d_committed is None if stack.d_committed is None else (
+                model.d_committed.tobytes() == stack.d_committed[i:i + 1].tobytes())
+    for i, model in enumerate(singles):
+        assert model.u_committed.tobytes() == stack.u_committed[i:i + 1].tobytes()
+        assert model.y_committed.tobytes() == stack.y_committed[i:i + 1].tobytes()
+        if family == "arima":
+            assert model._state.tobytes() == stack._state[i:i + 1].tobytes()
+        np.testing.assert_equal(model._rng[0].bit_generator.state, stack._rng[i].bit_generator.state)
+    seeds = seeds[::-1]
+    stack.reset(seeds)
+    u = rng.normal(0.0, 2.0, size=(len(seeds), stack.T, m_u))
+    y, d = stack.run_open_loop(u)
+    assert y.shape == (len(seeds), stack.T, stack.output_dim)
+    for i, (model, seed) in enumerate(zip(singles, seeds)):
+        model.reset(seed)
+        y_i, d_i = model.run_open_loop(u[i])
+        assert y_i.tobytes() == y[i].tobytes()
+        assert d_i is None if d is None else d_i.tobytes() == d[i].tobytes()
+        assert model.y_committed.tobytes() == stack.y_committed[i:i + 1].tobytes()
+
+
+def test_commit_needs_a_draw_of_every_row():
+    model = LinearCmpProcess(cmp_params())
+    model.reset([3, 4, 5])
+    model.step(np.zeros((2, 4)), 1, np.array([0, 2]))
+    with pytest.raises(HorizonError):
+        model.commit()
+    model.step(np.zeros((1, 4)), 1, np.array([1]))
+    assert model.commit().shape == (3, 2)
+    assert model.period == 1
+
+
+def test_non_finite_action_names_its_row():
+    model = LinearCmpProcess(cmp_params())
+    model.reset([3, 4, 5])
+    u = np.zeros((2, 4))
+    u[1, 2] = np.nan
+    with pytest.raises(NonFiniteActionError, match="action at period 1 is not finite") as err:
+        model.step(u, 1, np.array([0, 2]))
+    assert err.value.row == 2
+    model.reset([3, 4, 5])
+    u = np.zeros((3, model.T, 4))
+    u[2, 4, 0] = np.inf
+    u[1, 9, 3] = np.nan
+    with pytest.raises(NonFiniteActionError, match="action at period 10 is not finite") as err:
+        model.run_open_loop(u)
+    assert err.value.row == 1

@@ -228,3 +228,16 @@ def test_checks_run_in_bounded_memory():
     bound_peak = _traced_peak_mb(theorem2_bound_check, DEFAULT_BOUND_BATTERY[7], (0.1, 0.5, 1.0), 1000, 27)
     assert rate_peak < 4.0
     assert bound_peak < 4.0
+
+
+@pytest.mark.parametrize("n", [150, 600, 1200, 2500])
+def test_bound_projection_bits_do_not_depend_on_the_block(n):
+    # the bound battery projects its noise a block of rows at a time: a row's bits must not depend on the block
+    rng = make_rng(61, tag=f"projection-{n}")
+    proj, rows = rng.normal(size=(2, n)), rng.normal(size=(1000, n))
+    whole = theory._project_rows(proj, rows)
+    for block in (1, 7, 436):
+        parts = [theory._project_rows(proj, rows[i:i + block]) for i in range(0, len(rows), block)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    # each row's bits are those of its own matrix-vector product
+    assert all(whole[i].tobytes() == (proj @ rows[i]).tobytes() for i in (0, 1, 435, 999))
