@@ -28,7 +28,6 @@ call, and every row draws from its own streams.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
@@ -38,7 +37,7 @@ from numpy._core.umath import clip as _clip  # the ufunc ``ndarray.clip`` calls,
 from numpy.linalg import LinAlgError, _umath_linalg
 from scipy import optimize
 
-from .errors import ConfigError, PeriodAbortError, R2RError, integer, number, positive
+from .errors import ConfigError, PeriodAbortError, integer, number, positive
 from .estimation import VARIANCE_FORMS, PgsDistributionParams, fit_pgs_params, ridged_gram
 from .processes import ProcessModel, QuadraticCmpProcess, SamplePath, simulate_path
 from .rng import derive_int_seed, make_rng
@@ -110,15 +109,6 @@ class Controller:
         paths = [SamplePath(u=u[i], y=y[i], d=None if d is None else d[i], y0=model.y0, seed=s)
                  for i, s in enumerate(seeds)]
         return paths[0] if one else paths
-
-
-@contextlib.contextmanager
-def _for_row(row: int):
-    """Name ``row`` in a toolkit error raised inside, for work done one row at a time."""
-    try:
-        yield
-    except R2RError as exc:
-        raise exc.on_row(row)
 
 
 class NullController(Controller):
@@ -374,7 +364,7 @@ def _quad_residual(theta: np.ndarray, y_star: np.ndarray, t: int, u: np.ndarray)
 
 
 def _quad_miss(theta: np.ndarray, y_star: np.ndarray, t: float, u: list) -> np.ndarray:
-    """The target miss at the action ``u``, a list of 3 floats: ``_quadratic_features(u, t) @ theta - y_star``."""
+    """The target miss at the action ``u``, a list of 3 floats: ``[quad_terms(u), t] @ theta - y_star``."""
     return np.array(QuadraticCmpProcess.quad_terms(*u) + [t]) @ theta - y_star
 
 
@@ -517,12 +507,8 @@ def _linear_feature_rows(u: np.ndarray, t: int) -> np.ndarray:
     return np.concatenate([np.ones((len(u), 1)), u, np.full((len(u), 1), float(t))], axis=1)
 
 
-def _quadratic_features(u: np.ndarray, t: int) -> np.ndarray:
-    return np.array(QuadraticCmpProcess.quad_terms(*u.tolist()) + [float(t)])
-
-
 def _quadratic_feature_rows(u: np.ndarray, t: int) -> np.ndarray:
-    """``_quadratic_features`` of each row of the actions."""
+    """[``quad_terms``, t] for each row ``u`` of the actions."""
     return np.array([QuadraticCmpProcess.quad_terms(*row) + [float(t)] for row in u.tolist()])
 
 
@@ -683,10 +669,8 @@ class OapeController(_ModelFitController):
 
     def learn_offline(self, model: ProcessModel, n_paths: int, seed) -> None:
         """Pool ``n_paths`` random-action paths for each row, a seed each (an int is one row), and freeze the fits."""
-        paths = []
-        for row, s in enumerate([seed] if np.ndim(seed) == 0 else seed):
-            with _for_row(row):
-                paths.append(random_action_paths(model, n_paths, s, self.offline_action_spread, "oape"))
+        paths = [random_action_paths(model, n_paths, s, self.offline_action_spread, "oape")
+                 for s in ([seed] if np.ndim(seed) == 0 else seed)]
         u = np.array([[path.u for path in row] for row in paths])  # (R, n_paths, T, m_u)
         y = np.array([[path.y for path in row] for row in paths])
         for i in range(n_paths):  # each row adds its samples in the order of its paths, then periods
@@ -740,20 +724,18 @@ class RlPgsController(Controller):
 
     def prepare(self, model, n_learning_paths, master_seed, replications):
         self._row_params = []
-        for row, rep in enumerate(replications):
-            self.offline_store = []
-            with _for_row(row):
-                self.learn_offline(
-                    model,
-                    self.n_offline_paths,
-                    derive_int_seed(master_seed, replication=rep, tag="pgs-learn"),
-                )
+        for rep in replications:
+            self.learn_offline(
+                model,
+                self.n_offline_paths,
+                derive_int_seed(master_seed, replication=rep, tag="pgs-learn"),
+            )
             self._row_params.append(self.params)
         return n_learning_paths
 
     def learn_offline(self, model: ProcessModel, n_paths: int, seed: int) -> None:
-        """Populate the offline store with random-action paths and fit (beta, gamma)."""
-        self.offline_store += random_action_paths(model, n_paths, seed, self.offline_action_spread, "pgs")
+        """Draw the offline store, ``n_paths`` random-action paths, and fit (beta, gamma) to it."""
+        self.offline_store = random_action_paths(model, n_paths, seed, self.offline_action_spread, "pgs")
         self.params = fit_pgs_params(self.offline_store, self.variance_form)
 
     def reset(self, model, seeds):
@@ -768,8 +750,7 @@ class RlPgsController(Controller):
     def act(self, model, t):
         committed = zip(model.u_committed[:, 0].tolist(), model.y_committed[:, 0].tolist())
         for row, (u_prev, y_prev) in enumerate(committed):
-            with _for_row(row):
-                self._inner[row].append(self._act_row(model, t, [row], self._fits[row], u_prev, y_prev))
+            self._inner[row].append(self._act_row(model, t, [row], self._fits[row], u_prev, y_prev))
 
     def _act_row(self, model, t, rows, params, u_prev, y_prev) -> int:
         """One row's period from its committed action and output; returns its inner iteration count."""

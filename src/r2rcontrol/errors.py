@@ -9,16 +9,8 @@ import numpy as np
 class R2RError(Exception):
     """Base class for toolkit errors.
 
-    ``row`` is the row of a stacked run (see ``ProcessModel``) the error is
-    about, so the run can name that row's replication; None when it is not
-    one row's.
+    One raised by a stack of rows names no row: ``harness.run_replication`` names its replication.
     """
-
-    row: int | None = None
-
-    def on_row(self, row: int) -> "R2RError":
-        self.row = row
-        return self
 
 
 class DimensionError(R2RError):

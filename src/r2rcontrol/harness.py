@@ -143,28 +143,26 @@ def run_replication(config: ExperimentConfig, rep, model: ProcessModel | None = 
     replication the result it gets alone.  Returns a :class:`RunResult`
     for an index and a list of them for a sequence.
 
-    A toolkit error from offline learning or from a path is re-raised as
-    the same type, its message prefixed with the replication, the path
-    index and the path seed, so the failure can be re-run alone.  When
-    several replications fail, it is the lowest one's, as in a run of one
-    replication after another: a stack that meets a failure first re-runs
-    the replications below it.
+    A toolkit error of one replication is re-raised as the same type, its
+    message prefixed with the replication and either ``offline learning``
+    or the path index and the path seed, so the failure can be re-run
+    alone.  A stack that fails is re-run one replication at a time, in
+    index order, on the same model, and the first error is raised: the
+    lowest failing replication's, with the message a run of one
+    replication after another gives.
     """
     if model is None:
         model = process_from_config(config.process)
     reps = [rep] if np.ndim(rep) == 0 else list(rep)
-    failure = None
-    while True:
-        try:
-            results = _run_stack(config, reps, model)
-        except R2RError as exc:
-            if not exc.row:  # the stack's first replication: no lower one is left to fail
-                raise
-            failure, reps = exc, reps[: exc.row]
-            continue
-        if failure is not None:
-            raise failure
-        return results[0] if np.ndim(rep) == 0 else results
+    try:
+        results = _run_stack(config, reps, model)
+    except R2RError:
+        if len(reps) == 1:
+            raise
+        for r in reps:
+            _run_stack(config, [r], model)
+        raise
+    return results[0] if np.ndim(rep) == 0 else results
 
 
 def _run_stack(config: ExperimentConfig, reps: list, model: ProcessModel) -> list[RunResult]:
@@ -180,9 +178,9 @@ def _run_stack(config: ExperimentConfig, reps: list, model: ProcessModel) -> lis
             for row_costs, path in zip(costs, paths):
                 row_costs.append(total_cost(path, y_star))
     except R2RError as exc:
-        row = exc.row or 0
-        where = "offline learning" if seeds is None else f"path {i} (seed {seeds[row]})"
-        exc.args = (f"replication {reps[row]}, {where}: {exc}",) + exc.args[1:]
+        if len(reps) == 1:  # a stack's error is named by re-running its replications one at a time
+            where = "offline learning" if seeds is None else f"path {i} (seed {seeds[0]})"
+            exc.args = (f"replication {reps[0]}, {where}: {exc}",) + exc.args[1:]
         raise
     results = []
     for row, (path, row_costs) in enumerate(zip(paths, costs)):

@@ -242,8 +242,7 @@ class ProcessModel:
         # per element in Python: a numpy reduction costs more than a step's draw
         if not all(map(math.isfinite, u.ravel().tolist())):
             j = int(np.argmin(np.isfinite(u).all(axis=1)))
-            raise NonFiniteActionError(f"action at period {t} is not finite: {u[j]}").on_row(
-                j if rows is None else int(rows[j]))
+            raise NonFiniteActionError(f"action at period {t} is not finite: {u[j]}")
         if not 1 <= t <= self.T:
             raise HorizonError(f"period {t} outside horizon 1..{self.T}")
         if t != self.period + 1:
@@ -322,7 +321,7 @@ class ProcessModel:
         finite = np.isfinite(u).all(axis=2)
         if not finite.all():
             row, t = np.argwhere(~finite)[0].tolist()  # the first row, then its first period
-            raise NonFiniteActionError(f"action at period {t + 1} is not finite: {u[row, t]}").on_row(row)
+            raise NonFiniteActionError(f"action at period {t + 1} is not finite: {u[row, t]}")
         if self.period != 0 or self._pending is not None:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
         y, d, state = self._draw_path(u, 1, None)
@@ -420,11 +419,6 @@ class QuadraticCmpProcess(ProcessModel):
         array built from this list has the bits of one built from numpy scalars.
         """
         return [1.0, u1, u2, u3, u1 * u1, u2 * u2, u3 * u3, u1 * u2, u1 * u3, u2 * u3]
-
-    @classmethod
-    def quad_features(cls, u) -> np.ndarray:
-        """The ``quad_terms`` of a length-3 action, an array or a list, as a float64 array."""
-        return np.array(cls.quad_terms(*(u.tolist() if isinstance(u, np.ndarray) else u)))
 
     def mean_response(self, u, t: int) -> np.ndarray:
         """The noise-free outputs at action ``u`` in period t of the horizon."""

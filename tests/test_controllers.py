@@ -210,7 +210,7 @@ def test_quadratic_fast_path_hits_reachable_target_without_minimize(minimize_cal
         theta = rng.normal(0, 1.0, size=(11, 2))
         theta[4:7] += 1.0
         u_star = rng.uniform(-2.5, 2.5, size=3)
-        y_star = np.concatenate([QuadraticCmpProcess.quad_features(u_star), [3.0]]) @ theta
+        y_star = np.array(QuadraticCmpProcess.quad_terms(*u_star) + [3.0]) @ theta
         warm = u_star + rng.normal(0, 0.3, size=3)
         u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic",
                                     bounds=(-3.0, 3.0), warm_start=warm)
@@ -255,11 +255,11 @@ def test_quadratic_unreachable_target_falls_back_to_multistart(minimize_calls):
 
 
 def test_quadratic_action_does_not_share_memory_with_the_stencil(minimize_calls):
-    from r2rcontrol.controllers import _QUAD_STENCIL, _quadratic_features
+    from r2rcontrol.controllers import _QUAD_STENCIL, _quadratic_feature_rows
 
     stencil = _QUAD_STENCIL.copy()
     theta = make_rng(45, tag="quad-alias").normal(0, 1.0, size=(11, 2))
-    y_star = _quadratic_features(np.zeros(3), 3) @ theta  # the stencil's origin is an exact hit
+    y_star = _quadratic_feature_rows(np.zeros((1, 3)), 3)[0] @ theta  # the stencil's origin is an exact hit
     u = rl_alg1_action_optimize(theta, y_star, t=3, model_family="quadratic", bounds=(-3.0, 3.0))
     assert minimize_calls == []
     assert _same_bits(u, np.zeros(3))
@@ -310,25 +310,20 @@ _EDGE_ACTIONS = [
 
 
 def test_feature_vectors_and_residual_match_the_numpy_scalar_builders():
-    from r2rcontrol.controllers import _quad_residual, _quadratic_features
+    from r2rcontrol.controllers import _quad_residual, _quadratic_feature_rows
 
     rng = make_rng(46, tag="feature-bits")
-    actions = [*rng.normal(0.0, 3.0, size=(200, 3)), *np.array(_EDGE_ACTIONS)]
+    actions = np.concatenate([rng.normal(0.0, 3.0, size=(200, 3)), _EDGE_ACTIONS])
+    stacked = _quadratic_feature_rows(actions, 7)  # the 204 actions in one call here, then row by row
+    assert _same_bits(stacked, np.array([_reference_quadratic_features(u, 7) for u in actions]))
     for i, u in enumerate(actions):
         theta = rng.normal(0.0, 1.0, size=(11, 2))
         y_star = rng.normal(0.0, 10.0, size=2)
         t = 1 + i % 30
-        assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
-        assert _same_bits(_quadratic_features(u, t), _reference_quadratic_features(u, t))
+        assert _same_bits(np.array(QuadraticCmpProcess.quad_terms(*u.tolist())), _reference_quad_features(u))
+        assert _same_bits(_quadratic_feature_rows(u[None], t), _reference_quadratic_features(u, t)[None])
         for got, want in zip(_quad_residual(theta, y_star, t, u), _reference_quad_residual(theta, y_star, t, u)):
             assert _same_bits(got, want)
-
-
-@pytest.mark.parametrize("u", [[0.3, -0.7, 1.1], *_EDGE_ACTIONS, [2, -3, 0]])
-def test_quad_features_accepts_a_list(u):
-    assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
-    u = np.array(u, dtype=float)
-    assert _same_bits(QuadraticCmpProcess.quad_features(u), _reference_quad_features(u))
 
 
 def _system(rng, n, cond):

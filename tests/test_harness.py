@@ -11,7 +11,7 @@ import pytest
 
 import r2rcontrol
 from r2rcontrol import harness
-from r2rcontrol.errors import ConfigError, DimensionError, PeriodAbortError, UndefinedRatioError
+from r2rcontrol.errors import ConfigError, DimensionError, NonFiniteActionError, PeriodAbortError, UndefinedRatioError
 from r2rcontrol.experiments import preset_config
 from r2rcontrol.harness import (
     ExperimentConfig,
@@ -245,6 +245,16 @@ def test_lowest_failing_replication_is_reported_when_a_higher_one_fails_first(th
         run_replications(cfg)
     with pytest.raises(PeriodAbortError, match=r"^replication 4, path 0 \(seed \d+\): period 78: "):
         run_replication(cfg, 4)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_offline_learning_names_its_replication(threads):
+    # every replication's first offline action overflows: the run names the lowest, replication 0
+    cfg = preset_config("cmp_oape", master_seed=1, replications=3, threads=threads)
+    cfg.controller["offline_action_spread"] = 1e308
+    message = r"^replication 0, offline learning: action at period 1 is not finite"
+    with pytest.raises(NonFiniteActionError, match=message):
+        run_replications(cfg)
 
 
 def test_replication_seeding_is_stable():

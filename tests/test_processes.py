@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,7 +170,7 @@ def quad_params(noise=True):
 
 def test_quad_features_layout():
     u = np.array([2.0, 3.0, 5.0])
-    f = QuadraticCmpProcess.quad_features(u)
+    f = np.array(QuadraticCmpProcess.quad_terms(*u))
     assert np.allclose(f, [1, 2, 3, 5, 4, 9, 25, 6, 10, 15])
 
 
@@ -176,7 +178,7 @@ def test_quadratic_mean_response_matches_polynomial():
     model = QuadraticCmpProcess(quad_params())
     u = np.array([0.3, -0.7, 1.1])
     t = 4
-    f = QuadraticCmpProcess.quad_features(u)
+    f = np.array(QuadraticCmpProcess.quad_terms(*u))
     expect = np.array([f @ np.asarray(QUAD_C1) - 10.0 * t, f @ np.asarray(QUAD_C2) + 1.5 * t])
     assert np.allclose(model.mean_response(u, t), expect)
 
@@ -407,17 +409,21 @@ def test_commit_needs_a_draw_of_every_row():
 
 
 def test_non_finite_action_names_its_row():
+    # the rows' bad actions differ, so the message shows whose it prints: the first bad row's
     model = LinearCmpProcess(cmp_params())
     model.reset([3, 4, 5])
-    u = np.zeros((2, 4))
+    u = np.zeros((3, 4))
     u[1, 2] = np.nan
-    with pytest.raises(NonFiniteActionError, match="action at period 1 is not finite") as err:
-        model.step(u, 1, np.array([0, 2]))
-    assert err.value.row == 2
+    u[2, 0] = -np.inf
+    with pytest.raises(NonFiniteActionError, match=re.escape(f"action at period 1 is not finite: {u[1]}") + "$"):
+        model.step(u, 1)
+    with pytest.raises(NonFiniteActionError, match=re.escape(f"action at period 1 is not finite: {u[2]}") + "$"):
+        model.step(u[[0, 2]], 1, np.array([0, 2]))
     model.reset([3, 4, 5])
     u = np.zeros((3, model.T, 4))
     u[2, 4, 0] = np.inf
     u[1, 9, 3] = np.nan
-    with pytest.raises(NonFiniteActionError, match="action at period 10 is not finite") as err:
+    u[1, 12, 1] = -np.inf
+    # row 2 fails at an earlier period, but row 1 comes first: its first bad period, 10
+    with pytest.raises(NonFiniteActionError, match=re.escape(f"action at period 10 is not finite: {u[1, 9]}") + "$"):
         model.run_open_loop(u)
-    assert err.value.row == 1
