@@ -16,10 +16,11 @@ whose actions do not depend on the outputs (no control, random actions,
 the known-model oracle) returns all T of them for every row from
 ``open_loop_actions``, and ``run_path`` hands them to
 ``ProcessModel.run_open_loop``.  A feedback policy implements ``reset``,
-which sets up per-path state, and ``act``, which calls ``model.step`` on
-the rows once or, for controllers that iterate trial actions, several
-times per period; ``run_path`` commits each row's last trial of each
-period and records the committed actions, outputs and disturbances.
+which sets up per-path state, and ``act``, which opens each period with
+a ``model.step`` of every row and, for controllers that iterate trial
+actions, re-steps some rows; ``run_path`` commits each row's last trial
+of each period and records the committed actions, outputs and
+disturbances.
 
 A row's numbers do not depend on the other rows: every stacked product,
 solve and least-squares call gives each slice the bits of its one-row
@@ -28,7 +29,6 @@ call, and every row draws from its own streams.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 
@@ -67,7 +67,7 @@ class Controller:
         """Set up every row's per-path state before period 1."""
 
     def act(self, model: ProcessModel, t: int) -> None:
-        """Call ``model.step`` on the rows one or more times; each row's last draw is committed."""
+        """Call ``model.step`` on every row, then on any rows again; each row's last draw is committed."""
         raise NotImplementedError
 
     def row_diagnostics(self, row: int) -> dict:
@@ -128,17 +128,10 @@ class LinearOracleController(Controller):
         self.y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
 
     def open_loop_actions(self, model, seeds):
-        # the actions do not depend on the seed: solved once per (A, B, delta, y*, T), copied per row
-        key = [(a.shape, a.tobytes()) for a in (self.A, self.B, self.delta, self.y_star)]
-        return np.repeat(_oracle_actions(*key, model.T)[None], len(seeds), axis=0)
-
-
-@functools.lru_cache(maxsize=16)
-def _oracle_actions(A, B, delta, y_star, T: int) -> np.ndarray:
-    """The T solves of B u = y* - A - delta*t; each array comes as its (shape, bytes)."""
-    A, B, delta, y_star = (np.frombuffer(data).reshape(shape) for shape, data in (A, B, delta, y_star))
-    # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit
-    return np.array([_lstsq(B, y_star - A - delta * t) for t in range(1, T + 1)])
+        # one minimum-norm solve per period: a multi-column lstsq may differ in the last bit; the actions
+        # do not depend on the seed, so every row gets a copy
+        u = np.array([_lstsq(self.B, self.y_star - self.A - self.delta * t) for t in range(1, model.T + 1)])
+        return np.repeat(u[None], len(seeds), axis=0)
 
 
 class RandomActionController(Controller):
@@ -667,10 +660,9 @@ class OapeController(_ModelFitController):
         self.learn_offline(model, n_learning_paths, seeds)
         return 1
 
-    def learn_offline(self, model: ProcessModel, n_paths: int, seed) -> None:
-        """Pool ``n_paths`` random-action paths for each row, a seed each (an int is one row), and freeze the fits."""
-        paths = [random_action_paths(model, n_paths, s, self.offline_action_spread, "oape")
-                 for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    def learn_offline(self, model: ProcessModel, n_paths: int, seeds: list) -> None:
+        """Pool ``n_paths`` random-action paths for each row, one of ``seeds`` each, and freeze the fits."""
+        paths = [random_action_paths(model, n_paths, s, self.offline_action_spread, "oape") for s in seeds]
         u = np.array([[path.u for path in row] for row in paths])  # (R, n_paths, T, m_u)
         y = np.array([[path.y for path in row] for row in paths])
         for i in range(n_paths):  # each row adds its samples in the order of its paths, then periods
@@ -700,9 +692,10 @@ class RlPgsController(Controller):
     the current action, until the action increment falls below ``eta``.
     An iterate beyond ``guard_bound`` halves the step size; five failed
     halvings abort the period.  ``prepare`` fits ``params`` from
-    ``n_offline_paths`` paths of random actions, for each row.  The rows
-    take their periods one after another, since each row's halvings depend
-    on its own data.
+    ``n_offline_paths`` paths of random actions, for each row.  A period
+    opens with one step of every row at its committed action, each row's
+    first trial; then the rows iterate one after another, re-stepping
+    themselves alone, since each row's halvings depend on its own data.
     """
 
     def __init__(self, params: PgsDistributionParams | None = None, /, *, y_star, variance_form: str = "time_linear",
@@ -748,17 +741,21 @@ class RlPgsController(Controller):
         return {"inner_iterations": list(self._inner[row])}
 
     def act(self, model, t):
-        committed = zip(model.u_committed[:, 0].tolist(), model.y_committed[:, 0].tolist())
-        for row, (u_prev, y_prev) in enumerate(committed):
-            self._inner[row].append(self._act_row(model, t, [row], self._fits[row], u_prev, y_prev))
+        # every row's first trial, at its committed action, in one step of all rows
+        first = model.step(model.u_committed, t)[:, 0].tolist()
+        committed = zip(model.u_committed[:, 0].tolist(), model.y_committed[:, 0].tolist(), first)
+        for row, (u_prev, y_prev, y) in enumerate(committed):
+            self._inner[row].append(self._act_row(model, t, [row], self._fits[row], u_prev, y_prev, y))
 
-    def _act_row(self, model, t, rows, params, u_prev, y_prev) -> int:
-        """One row's period from its committed action and output; returns its inner iteration count."""
+    def _act_row(self, model, t, rows, params, u_prev, y_prev, y) -> int:
+        """One row's period from its committed action and output and its first trial's output ``y``.
+
+        Returns the row's inner iteration count.
+        """
         alpha = self.alpha_step
         halvings = 0
         while True:  # restart the period from the last committed action on divergence
             u_k = u_prev
-            y = float(model.step([[u_k]], t, rows)[0, 0])
             diverged = False
             for k in range(self.max_inner_iters):
                 cost = (y - self.y_star) ** 2
@@ -777,6 +774,7 @@ class RlPgsController(Controller):
             if halvings > 5:
                 raise PeriodAbortError(f"period {t}: iterates diverged after 5 step-size halvings")
             alpha /= 2.0
+            y = float(model.step([[u_prev]], t, rows)[0, 0])
 
 
 # ---------------------------------------------------------------------------

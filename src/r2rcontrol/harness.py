@@ -133,15 +133,23 @@ class SummaryStats:
 # ---------------------------------------------------------------------------
 
 
+def _process(config: ExperimentConfig) -> ProcessModel:
+    """The run's process model; a ``y_star`` of the wrong length is a :class:`ConfigError`."""
+    model = process_from_config(config.process)
+    if len(config.y_star) != model.output_dim:
+        raise ConfigError(f"y_star has {len(config.y_star)} coordinates, process emits {model.output_dim}")
+    return model
+
+
 def run_replication(config: ExperimentConfig, rep, model: ProcessModel | None = None):
     """Execute replication ``rep``, or a sequence of them as one stack, with seeds derived from (master_seed, rep).
 
     The replications advance together, period by period, on the rows of
-    ``model``, the run's process; without it one is built from
-    ``config.process``, which re-runs one replication alone.  A row's
-    numbers do not depend on the other rows, so a stack gives each
-    replication the result it gets alone.  Returns a :class:`RunResult`
-    for an index and a list of them for a sequence.
+    ``model``, the run's process.  Without it one is built and checked as
+    :func:`run_replications` builds and checks its own, which re-runs one
+    replication alone.  A row's numbers do not depend on the other rows,
+    so a stack gives each replication the result it gets alone.  Returns a
+    :class:`RunResult` for an index and a list of them for a sequence.
 
     A toolkit error of one replication is re-raised as the same type, its
     message prefixed with the replication and either ``offline learning``
@@ -152,7 +160,7 @@ def run_replication(config: ExperimentConfig, rep, model: ProcessModel | None = 
     replication after another gives.
     """
     if model is None:
-        model = process_from_config(config.process)
+        model = _process(config)
     reps = [rep] if np.ndim(rep) == 0 else list(rep)
     try:
         results = _run_stack(config, reps, model)
@@ -194,16 +202,14 @@ def _run_stack(config: ExperimentConfig, reps: list, model: ProcessModel) -> lis
 def run_replications(config: ExperimentConfig) -> list[RunResult]:
     """All replications on the run's one process model, in index order: one stack, or one per worker under ``threads``.
 
-    Each of the ``threads`` workers runs a contiguous stack of replications.
-    A ``y_star`` of the wrong length is a :class:`ConfigError` before any path runs or any worker starts.
+    The replications are split into at most ``threads`` contiguous stacks, and the pool starts one worker
+    a stack.  A ``y_star`` of the wrong length is a :class:`ConfigError` before any path runs or any worker starts.
     """
-    model = process_from_config(config.process)
-    if len(config.y_star) != model.output_dim:
-        raise ConfigError(f"y_star has {len(config.y_star)} coordinates, process emits {model.output_dim}")
+    model = _process(config)
     if config.threads == 1:
         return run_replication(config, range(config.replications), model)
     stacks = [s.tolist() for s in np.array_split(np.arange(config.replications), config.threads) if s.size]
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    with ProcessPoolExecutor(max_workers=len(stacks)) as pool:
         return [res for stack in pool.map(run_replication, repeat(config), stacks, repeat(model)) for res in stack]
 
 

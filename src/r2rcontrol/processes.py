@@ -3,9 +3,10 @@
 Each simulator is a single-threaded state machine over integer periods
 t = 1..T that runs R paths in lockstep, one per row: ``reset`` takes one
 seed per row and gives each row its own stream, and the committed state
-has a leading row axis.  ``step(u, t, rows)`` draws the period-t outputs
-of some rows (all by default) from their committed state at t-1 without
-advancing; ``commit()`` promotes every row's most recent draw.  A feedback
+has a leading row axis.  A period opens with ``step(u, t)``, which draws
+the period-t outputs of every row from its committed state at t-1 without
+advancing; a later ``step(u, t, rows)`` re-draws some of them, and
+``commit()`` promotes every row's most recent draw.  A feedback
 controller's ``act`` calls ``step`` once or, to try several actions within
 one period, repeatedly; ``Controller.run_path`` then calls ``commit`` once
 per period and records the committed actions, outputs and disturbances
@@ -265,37 +266,33 @@ class ProcessModel:
         """Draw y_t of ``rows`` (an index array; all rows by default) from their committed t-1 state.
 
         ``u`` holds one action per stepped row; the model keeps it until the
-        commit, so the caller must not change it before then.  Repeatable,
-        does not advance: ``commit`` promotes each row's latest draw.  A
-        one-row model also takes one (m_u,) action and returns its (m_y,)
-        output.
+        commit, so the caller must not change it before then.  A period opens
+        with a step of every row, and a later step of some rows re-draws
+        theirs.  Repeatable, does not advance: ``commit`` promotes each row's
+        latest draw.
         """
-        u = np.array(u, dtype=float, copy=None)
-        one = u.ndim == 1
-        u = self._check_step(u[None] if one else u, t, rows)
+        u = self._check_step(np.array(u, dtype=float, copy=None), t, rows)
+        if rows is not None and self._pending is None:
+            raise HorizonError(f"period {t} opens with a step of every row, not of some")
         y, d, state = self._draw_path(u[:, None], t, rows)
         y, d = y[:, 0], None if d is None else d[:, 0]
         if rows is None:
-            self._pending = (u, y, d, state, None)
-        else:
-            held = self._pending
-            if held is None:  # the rows' first draw this period: the other rows have none yet
-                held = tuple(None if like is None else np.empty((self.rows, *like.shape[1:]))
-                             for like in (u, y, d, state)) + (np.zeros(self.rows, dtype=bool),)
-            elif held[4] is None:  # every row's draw, whose outputs the caller holds: copied, not written over
-                held = tuple(None if a is None else a.copy() for a in held[:4]) + (np.ones(self.rows, dtype=bool),)
-            for slot, value in zip(held, (u, y, d, state, True)):
-                if slot is not None:
-                    slot[rows] = value
-            self._pending = held
-        return y[0] if one else y
+            self._pending = (u, y, d, state, False)
+            return y
+        held = self._pending
+        if not held[4]:  # every row's draw, whose action and outputs the caller holds: copied, not written over
+            held = tuple(None if a is None else a.copy() for a in held[:4]) + (True,)
+        for slot, value in zip(held, (u, y, d, state)):
+            if slot is not None:
+                slot[rows] = value
+        self._pending = held
+        return y
 
     def commit(self) -> np.ndarray:
         """Promote every row's latest draw to the committed state, advancing one period; returns the outputs."""
-        held = self._pending
-        if held is None or (held[4] is not None and not held[4].all()):
+        if self._pending is None:
             raise HorizonError("no pending draw to commit")
-        u, y, d, state, _ = held
+        u, y, d, state, _ = self._pending
         self._promote(self.period + 1, u, y, d, state)
         return y
 
@@ -308,16 +305,12 @@ class ProcessModel:
         the outputs equal a ``step``/``commit`` loop's bit for bit, and the
         model is left committed at period T as that loop leaves it.  Returns
         the (R, T, m_y) outputs and the (R, T) disturbances, None for a family
-        without them.  A one-row model also takes (T, m_u) actions and returns
-        (T, m_y) and (T,).
+        without them.
         """
         u = np.asarray(u, dtype=float)
-        one = u.ndim == 2
-        if one:
-            u = u[None]
-        if u.shape != (self.rows, self.T, self.control_dim):
-            expected = (self.rows, self.T, self.control_dim)[one:]
-            raise DimensionError(f"open-loop actions have shape {u.shape[one:]}, process expects {expected}")
+        expected = (self.rows, self.T, self.control_dim)
+        if u.shape != expected:
+            raise DimensionError(f"open-loop actions have shape {u.shape}, process expects {expected}")
         finite = np.isfinite(u).all(axis=2)
         if not finite.all():
             row, t = np.argwhere(~finite)[0].tolist()  # the first row, then its first period
@@ -326,8 +319,6 @@ class ProcessModel:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
         y, d, state = self._draw_path(u, 1, None)
         self._promote(self.T, u[:, -1], y[:, -1], None if d is None else d[:, -1], state)
-        if one:
-            return y[0], None if d is None else d[0]
         return y, d
 
     # family-specific -------------------------------------------------------
@@ -419,10 +410,6 @@ class QuadraticCmpProcess(ProcessModel):
         array built from this list has the bits of one built from numpy scalars.
         """
         return [1.0, u1, u2, u3, u1 * u1, u2 * u2, u3 * u3, u1 * u2, u1 * u3, u2 * u3]
-
-    def mean_response(self, u, t: int) -> np.ndarray:
-        """The noise-free outputs at action ``u`` in period t of the horizon."""
-        return self._means(np.asarray(u, dtype=float)[None, None], t)[0, 0]
 
     def _means(self, u: np.ndarray, t0: int) -> np.ndarray:
         """The noise-free outputs at the (k, n, 3) actions in periods t0..t0+n-1.

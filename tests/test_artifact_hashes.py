@@ -10,6 +10,12 @@ writes nothing.
 their online PGS paths abort with ``PeriodAbortError`` on some seeds (see
 the open ``FOUND`` line in CHANGES.md), so a small run of them is not a
 stable fixture.
+
+The products that reach an artifact only through a threshold, so that a
+last-bit change shows in a digest only when it flips a decision, are
+pinned by their own digests, recorded the same way and at both thread
+counts: RL Algorithm 1's convergence norms and the bound battery's
+projection.
 """
 
 import hashlib
@@ -152,17 +158,76 @@ def test_parallel_artifacts_match_recorded_digests(tmp_path):
                      {k: v for k, v in EXPECTED.items() if not k.startswith(serial_only)})
 
 
-@pytest.mark.parametrize("blas_threads", ["1", "2"])
-def test_digests_do_not_depend_on_the_blas_thread_count(blas_threads, tmp_path):
-    # OpenBLAS reads its thread count when numpy loads, so each count runs in a fresh interpreter
+def _in_fresh_interpreter(blas_threads: str, call: str, *args) -> dict:
+    """The JSON that ``call``, an expression over this module's names and ``sys.argv``, returns in a new
+    interpreter at ``blas_threads`` OpenBLAS threads: OpenBLAS reads its thread count when numpy loads."""
     tests = pathlib.Path(__file__).parent
-    code = ("import json, pathlib, sys; from test_artifact_hashes import write_artifacts; "
-            "print(json.dumps(write_artifacts(pathlib.Path(sys.argv[1]))))")
+    code = f"import json, pathlib, sys; from test_artifact_hashes import *; print(json.dumps({call}))"
     path = os.pathsep.join([str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    _assert_recorded(json.loads(out.stdout), EXPECTED)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_digests_do_not_depend_on_the_blas_thread_count(blas_threads, tmp_path):
+    got = _in_fresh_interpreter(blas_threads, "write_artifacts(pathlib.Path(sys.argv[1]))", str(tmp_path))
+    _assert_recorded(got, EXPECTED)
+
+
+THRESHOLD_PRODUCTS = {
+    "bound_projection": "62c7719d93511e164d7be903e1717d9e7ea444c33c118d149f76db2d2b0268ad",
+    "rl_norms": "56b1c6d622ff4afadb763dae29e7cfff192cd42454ad72ea24aa491beb692563",
+}
+
+
+def threshold_products() -> dict:
+    """sha256 of the bytes of the products that only a threshold reads.
+
+    ``rl_norms``: every squared step ``np.vecdot`` gives RL Algorithm 1's
+    convergence test in a ``cmp_rl`` stack of three replications.
+    ``bound_projection``: for each configuration of the bound battery, the
+    projection ``np.linalg.solve(X.T @ X, X.T)`` and each block of its
+    projected noise, as ``theory._project_rows`` receives and returns them.
+    """
+    import numpy as np
+
+    from r2rcontrol import controllers, theory
+    from r2rcontrol.harness import run_replication
+    from r2rcontrol.theory import DEFAULT_BOUND_BATTERY, theorem2_bound_check
+
+    norms, projections = hashlib.sha256(), hashlib.sha256()
+    project = theory._project_rows
+
+    class RecordingNumpy:  # numpy, with every vecdot's output recorded
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def vecdot(a, b):
+            out = np.vecdot(a, b)
+            norms.update(out.tobytes())
+            return out
+
+    def recording_project(proj, rows):
+        out = project(proj, rows)
+        projections.update(proj.tobytes() + out.tobytes())
+        return out
+
+    controllers.np, theory._project_rows = RecordingNumpy(), recording_project
+    try:
+        run_replication(preset_config("cmp_rl", master_seed=SEED, replications=3, n_learning_paths=2), range(3))
+        for i, cfg in enumerate(DEFAULT_BOUND_BATTERY):
+            theorem2_bound_check(cfg, (0.1, 0.5, 1.0), 500, SEED + i)
+    finally:
+        controllers.np, theory._project_rows = np, project
+    return {"bound_projection": projections.hexdigest(), "rl_norms": norms.hexdigest()}
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_threshold_products_do_not_depend_on_the_blas_thread_count(blas_threads):
+    assert _in_fresh_interpreter(blas_threads, "threshold_products()") == THRESHOLD_PRODUCTS
 
 
 # a preset run and every protocol at a small size, without an output directory

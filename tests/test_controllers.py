@@ -15,7 +15,6 @@ from r2rcontrol.controllers import (
     RandomActionController,
     RlAlg1Controller,
     RlPgsController,
-    _oracle_actions,
     _PooledFit,
     controller_from_config,
     rl_alg1_action_optimize,
@@ -543,7 +542,7 @@ def test_oape_requires_learning_before_running():
 
 def test_oape_noiseless_controls_exactly():
     ctrl = OapeController(Y_STAR, control_dim=3, output_dim=2, offline_action_spread=2.0)
-    ctrl.learn_offline(_cmp_process(noise=0.0), n_paths=3, seed=12)
+    ctrl.learn_offline(_cmp_process(noise=0.0), n_paths=3, seeds=[12])
     model = _cmp_process(noise=0.0)
     path = ctrl.run_path(model, seed=13)
     np.testing.assert_allclose(path.y, np.tile(Y_STAR, (30, 1)), atol=1e-6)
@@ -601,16 +600,14 @@ def test_random_actions_equal_per_period_draws():
 
 
 def test_oracle_actions_are_the_per_period_minimum_norm_solves():
-    _oracle_actions.cache_clear()
     B, A, delta, y_star = (np.asarray(v, dtype=float) for v in (CMP["B"], CMP["A"], CMP["delta"], Y_STAR))
     expected = [np.linalg.lstsq(B, y_star - A - delta * t, rcond=None)[0] for t in range(1, 31)]
-    # the first path solves the actions, later paths and fresh controllers reuse them
+    # every path of every controller solves the same actions
     for seed in (3, 4):
         model = _cmp_process()
         path = simulate_path(model, LinearOracleController(CMP["A"], CMP["B"], CMP["delta"], Y_STAR), seed=seed)
         for t in range(1, model.T + 1):
             assert path.u[t - 1].tobytes() == expected[t - 1].tobytes()
-    assert _oracle_actions.cache_info().misses == 1
 
 
 def test_oracle_paths_do_not_share_their_actions():

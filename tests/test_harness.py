@@ -208,16 +208,43 @@ def test_one_model_per_run_gives_the_results_of_fresh_models(name, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["null", "ewma", "rl_alg1", "oracle"])
-@pytest.mark.parametrize("entry, threads", [("run_replications", 1), ("run_replications", 2), ("run_experiment", 1)])
+@pytest.mark.parametrize("entry, threads", [("run_replications", 1), ("run_replications", 2), ("run_experiment", 1),
+                                            ("run_replication", 1)])
 def test_wrong_length_target_is_config_error_before_any_path(entry, threads, kind, monkeypatch):
     started = []
     monkeypatch.setattr(harness, "simulate_path", lambda *args: started.append("path"))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda *args, **kw: started.append("pool"))
     cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": kind}, y_star=[1.0, 2.0, 3.0],
                            replications=2, threads=threads)
+    run = (lambda cfg: run_replication(cfg, 1)) if entry == "run_replication" else getattr(harness, entry)
     with pytest.raises(ConfigError, match="^y_star has 3 coordinates, process emits 2$"):
-        getattr(harness, entry)(cfg)
+        run(cfg)
     assert started == []
+
+
+def test_pool_starts_one_worker_per_stack(monkeypatch):
+    workers = []
+
+    class RecordingPool:  # records the pool's size and runs its stacks here, starting no process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = ExperimentConfig(process=CMP_PROCESS, controller={"kind": "ewma"}, y_star=Y_STAR, replications=3,
+                           master_seed=5)
+    serial = run_replications(cfg)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_replications(dataclasses.replace(cfg, threads=8))
+    assert workers == [3]  # three replications on eight threads: three stacks of one
+    assert all(_same_result(a, b) for a, b in zip(pooled, serial, strict=True))
 
 
 @pytest.mark.parametrize("threads", [1, 2])

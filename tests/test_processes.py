@@ -39,15 +39,15 @@ def cmp_params(noise=True, T=30):
 def test_linear_cmp_noiseless_first_step():
     model = LinearCmpProcess(cmp_params(noise=False))
     model.reset(seed=1)
-    y = model.step(np.zeros(4), 1)
-    assert np.allclose(y, [-155.21, -628.82], atol=1e-12)
+    y = model.step(np.zeros((1, 4)), 1)
+    assert np.allclose(y, [[-155.21, -628.82]], atol=1e-12)
 
 
 def test_linear_cmp_mean_is_affine_in_action():
     model = LinearCmpProcess(cmp_params(noise=False))
     model.reset(seed=0)
     u = np.array([1.0, -2.0, 0.5, 3.0])
-    y = model.step(u, 1)
+    y = model.step(u[None], 1)[0]
     expected = np.asarray(CMP_A) + np.asarray(CMP_B) @ u + np.asarray(CMP_DELTA)
     assert np.allclose(y, expected)
 
@@ -55,26 +55,26 @@ def test_linear_cmp_mean_is_affine_in_action():
 def test_step_redraw_is_repeatable_and_commit_advances():
     model = LinearCmpProcess(cmp_params())
     model.reset(seed=7)
-    u = np.zeros(4)
+    u = np.zeros((1, 4))
     y1 = model.step(u, 1)
     y2 = model.step(u, 1)  # re-draw from the same committed state
     assert y1.shape == y2.shape
     model.commit()
     assert model.period == 1
     y3 = model.step(u, 2)
-    assert y3.shape == (2,)
+    assert y3.shape == (1, 2)
 
 
 def test_step_validates_dimension_and_period():
     model = LinearCmpProcess(cmp_params())
     model.reset(seed=3)
     with pytest.raises(DimensionError):
-        model.step(np.zeros(3), 1)
+        model.step(np.zeros((1, 3)), 1)
     with pytest.raises(HorizonError):
-        model.step(np.zeros(4), 2)  # must be period 1 first
+        model.step(np.zeros((1, 4)), 2)  # must be period 1 first
     with pytest.raises(HorizonError):
-        model.step(np.zeros(4), 0)
-    model.step(np.zeros(4), 1)
+        model.step(np.zeros((1, 4)), 0)
+    model.step(np.zeros((1, 4)), 1)
     model.commit()
     with pytest.raises(HorizonError):
         model.commit()  # nothing pending
@@ -148,9 +148,9 @@ def test_arima_process_mean_structure():
     p = arima_params(sigma=1e-12, T=4)
     model = ArimaProcess(p)
     model.reset(seed=0)
-    y = model.step(np.array([2.0]), 1)
+    y = model.step(np.array([[2.0]]), 1)
     # without noise the first-period output is a + b*u
-    assert y[0] == pytest.approx(91.7 - 1.8 * 2.0, abs=1e-6)
+    assert y[0, 0] == pytest.approx(91.7 - 1.8 * 2.0, abs=1e-6)
 
 
 # --- quadratic CMP ----------------------------------------------------------
@@ -180,7 +180,7 @@ def test_quadratic_mean_response_matches_polynomial():
     t = 4
     f = np.array(QuadraticCmpProcess.quad_terms(*u))
     expect = np.array([f @ np.asarray(QUAD_C1) - 10.0 * t, f @ np.asarray(QUAD_C2) + 1.5 * t])
-    assert np.allclose(model.mean_response(u, t), expect)
+    assert np.allclose(model._means(u[None, None], t)[0, 0], expect)
 
 
 # --- Wiener and gamma -------------------------------------------------------
@@ -192,7 +192,7 @@ def test_wiener_increment_moments():
     draws = []
     for seed in range(4000):
         model.reset(seed)
-        draws.append(model.step(np.zeros(1), 1)[0] - 90.0)
+        draws.append(model.step(np.zeros((1, 1)), 1)[0, 0] - 90.0)
     draws = np.array(draws)
     assert draws.mean() == pytest.approx(0.66, abs=0.06)
     assert draws.var(ddof=1) == pytest.approx(1.0, rel=0.12)
@@ -217,8 +217,8 @@ def test_control_shifts_wiener_output_additively():
     m1, m2 = WienerProcess(p), WienerProcess(p)
     m1.reset(seed=21)
     m2.reset(seed=21)
-    y_zero = m1.step(np.zeros(1), 1)[0]
-    y_ctl = m2.step(np.array([2.5]), 1)[0]
+    y_zero = m1.step(np.zeros((1, 1)), 1)[0, 0]
+    y_ctl = m2.step(np.array([[2.5]]), 1)[0, 0]
     assert y_ctl == pytest.approx(y_zero - 2.5, abs=1e-9)
 
 
@@ -276,11 +276,11 @@ def _model_state(model) -> dict:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_open_loop_path_equals_step_commit_loop(family):
     stepped, batched = FAMILIES[family](), FAMILIES[family]()
-    u = make_rng(5, tag="open-loop").normal(0.0, 2.0, size=(stepped.T, stepped.control_dim))
+    u = make_rng(5, tag="open-loop").normal(0.0, 2.0, size=(1, stepped.T, stepped.control_dim))
     stepped.reset(31)
     ys, ds = [], []
     for t in range(1, stepped.T + 1):
-        stepped.step(u[t - 1], t)
+        stepped.step(u[:, t - 1], t)
         ys.append(stepped.commit())
         ds.append(stepped.d_committed)
     batched.reset(31)
@@ -310,39 +310,39 @@ def test_linear_draws_equal_row_by_row_products(m_y, m_u):
     z = make_rng(41, tag="linear_cmp").standard_normal((params.T, m_y))
     want = np.array([params.A + params.B @ u[i] + params.delta * (1 + i) + L @ z[i] for i in range(params.T)])
     batched.reset(41)
-    y, _ = batched.run_open_loop(u)
+    y, _ = batched.run_open_loop(u[None])
     assert y.tobytes() == want.tobytes()
     stepped.reset(41)
     for t in range(1, params.T + 1):  # one-row draws
-        assert stepped.step(u[t - 1], t).tobytes() == want[t - 1].tobytes()
+        assert stepped.step(u[None, t - 1], t).tobytes() == want[t - 1].tobytes()
         stepped.commit()
 
 
 def test_open_loop_rejects_wrong_shape_and_a_stepped_model():
     model = WienerProcess(WienerParams(y0=90.0, v=0.66, sigma=1.0, T=5))
     model.reset(1)
-    for bad in (np.zeros((4, 1)), np.zeros((5, 2)), np.zeros(5)):
+    for bad in (np.zeros((1, 4, 1)), np.zeros((1, 5, 2)), np.zeros((5, 1)), np.zeros(5)):
         with pytest.raises(DimensionError):
             model.run_open_loop(bad)
-    model.step(np.zeros(1), 1)  # a pending draw has moved the generator
+    model.step(np.zeros((1, 1)), 1)  # a pending draw has moved the generator
     with pytest.raises(HorizonError):
-        model.run_open_loop(np.zeros((5, 1)))
+        model.run_open_loop(np.zeros((1, 5, 1)))
     model.commit()
     with pytest.raises(HorizonError):
-        model.run_open_loop(np.zeros((5, 1)))
+        model.run_open_loop(np.zeros((1, 5, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_action_is_its_own_error_naming_the_period(bad):
     model = LinearCmpProcess(cmp_params())
     model.reset(2)
-    model.step(np.zeros(4), 1)
+    model.step(np.zeros((1, 4)), 1)
     model.commit()
     with pytest.raises(NonFiniteActionError, match="action at period 2 is not finite"):
-        model.step(np.array([0.0, bad, 0.0, 0.0]), 2)
+        model.step(np.array([[0.0, bad, 0.0, 0.0]]), 2)
     model.reset(2)
-    u = np.zeros((model.T, 4))
-    u[6, 1] = bad
+    u = np.zeros((1, model.T, 4))
+    u[0, 6, 1] = bad
     with pytest.raises(NonFiniteActionError, match="action at period 7 is not finite"):
         model.run_open_loop(u)
 
@@ -365,14 +365,14 @@ def test_row_stack_gives_each_row_the_bytes_of_its_own_model(family):
         u = rng.normal(0.0, 2.0, size=(len(seeds), m_u))
         y = stack.step(u, t)
         for i, model in enumerate(singles):
-            assert model.step(u[i], t).tobytes() == y[i].tobytes()
+            assert model.step(u[i:i + 1], t).tobytes() == y[i].tobytes()
         for _ in range(t % 3):
             rows = np.flatnonzero(rng.random(len(seeds)) < 0.5)
             rows = rows if rows.size else np.array([t % len(seeds)])
             u = rng.normal(0.0, 2.0, size=(len(rows), m_u))
             y = stack.step(u, t, rows)
             for j, i in enumerate(rows):
-                assert singles[i].step(u[j], t).tobytes() == y[j].tobytes()
+                assert singles[i].step(u[j:j + 1], t).tobytes() == y[j].tobytes()
         y = stack.commit()
         for i, model in enumerate(singles):
             assert model.commit().tobytes() == y[i].tobytes()
@@ -391,21 +391,34 @@ def test_row_stack_gives_each_row_the_bytes_of_its_own_model(family):
     assert y.shape == (len(seeds), stack.T, stack.output_dim)
     for i, (model, seed) in enumerate(zip(singles, seeds)):
         model.reset(seed)
-        y_i, d_i = model.run_open_loop(u[i])
+        y_i, d_i = model.run_open_loop(u[i:i + 1])
         assert y_i.tobytes() == y[i].tobytes()
         assert d_i is None if d is None else d_i.tobytes() == d[i].tobytes()
         assert model.y_committed.tobytes() == stack.y_committed[i:i + 1].tobytes()
 
 
-def test_commit_needs_a_draw_of_every_row():
-    model = LinearCmpProcess(cmp_params())
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_period_opens_with_a_step_of_every_row(family):
+    model = FAMILIES[family]()
+    m_u = model.control_dim
     model.reset([3, 4, 5])
-    model.step(np.zeros((2, 4)), 1, np.array([0, 2]))
-    with pytest.raises(HorizonError):
-        model.commit()
-    model.step(np.zeros((1, 4)), 1, np.array([1]))
-    assert model.commit().shape == (3, 2)
-    assert model.period == 1
+    for t in (1, 2):
+        # a step of some rows before the period's step of every row is refused before any stream moves
+        before = _model_state(model)
+        with pytest.raises(HorizonError, match=f"^period {t} opens with a step of every row, not of some$"):
+            model.step(np.zeros((2, m_u)), t, np.array([0, 2]))
+        np.testing.assert_equal(_model_state(model), before)
+        with pytest.raises(HorizonError, match="^no pending draw to commit$"):
+            model.commit()
+        u = np.zeros((3, m_u))
+        y = model.step(u, t)
+        held = y.copy()
+        model.step(np.ones((2, m_u)), t, np.array([0, 2]))  # re-draws rows 0 and 2
+        assert y.tobytes() == held.tobytes() and not u.any()  # the caller's arrays are not written over
+        committed = model.commit()
+        assert committed.shape == (3, model.output_dim) and model.period == t
+        assert committed[1].tobytes() == held[1].tobytes()
+        assert model.u_committed.tolist() == [[1.0] * m_u, [0.0] * m_u, [1.0] * m_u]
 
 
 def test_non_finite_action_names_its_row():
