@@ -19,8 +19,8 @@ the known-model oracle) returns all T of them for every row from
 which sets up per-path state, and ``act``, which opens each period with
 a ``model.step`` of every row and, for controllers that iterate trial
 actions, re-steps some rows; ``run_path`` commits each row's last trial
-of each period and records the committed actions, outputs and
-disturbances.
+of each period.  Either way the model records each row's path, and
+``run_path`` reads the paths off that record.
 
 A row's numbers do not depend on the other rows: every stacked product,
 solve and least-squares call gives each slice the bits of its one-row
@@ -46,7 +46,7 @@ log = logging.getLogger(__name__)
 
 
 class Controller:
-    """Choose each period's actions for the rows of a model; ``run_path`` commits and records them.
+    """Choose each period's actions for the rows of a model; ``run_path`` commits them and reads the model's record.
 
     The harness calls ``prepare`` once per stack of replications, then
     ``run_path`` once per online path, on a model with one row per
@@ -94,20 +94,13 @@ class Controller:
         self.rows = len(seeds)
         u = self.open_loop_actions(model, seeds)
         if u is not None:
-            y, d = model.run_open_loop(u)
+            model.run_open_loop(u)
         else:
             self.reset(model, seeds)
-            us, ys, ds = [], [], []
             for t in range(1, model.T + 1):
                 self.act(model, t)
-                ys.append(model.commit())
-                us.append(model.u_committed)
-                ds.append(model.d_committed)
-            # (T, R, ...) records to (R, T, ...): one copy, where a stack along axis 1 costs three times as much
-            u, y = (np.ascontiguousarray(np.array(a).swapaxes(0, 1)) for a in (us, ys))
-            d = None if ds[0] is None else np.ascontiguousarray(np.array(ds).T)
-        paths = [SamplePath(u=u[i], y=y[i], d=None if d is None else d[i], y0=model.y0, seed=s)
-                 for i, s in enumerate(seeds)]
+                model.commit()
+        paths = model.paths(seeds)
         return paths[0] if one else paths
 
 

@@ -2,20 +2,20 @@
 
 Each simulator is a single-threaded state machine over integer periods
 t = 1..T that runs R paths in lockstep, one per row: ``reset`` takes one
-seed per row and gives each row its own stream, and the committed state
-has a leading row axis.  A period opens with ``step(u, t)``, which draws
-the period-t outputs of every row from its committed state at t-1 without
-advancing; a later ``step(u, t, rows)`` re-draws some of them, and
-``commit()`` promotes every row's most recent draw.  A feedback
+seed per row and gives each row its own stream and its own record of
+periods 0..T: actions, outputs and, for ARIMA, disturbances, with a
+leading row axis.  A period opens with ``step(u, t)``, which draws the
+period-t outputs of every row from its state at t-1 into period t of the
+record without advancing; a later ``step(u, t, rows)`` re-draws some of
+them, and ``commit()`` advances every row to period t (``u_committed`` and
+``y_committed`` are the record's current period).  A feedback
 controller's ``act`` calls ``step`` once or, to try several actions within
 one period, repeatedly; ``Controller.run_path`` then calls ``commit`` once
-per period and records the committed actions, outputs and disturbances
-(``d_committed``, None outside ARIMA).  Paths whose actions are fixed
-before period 1 (no control, random or oracle actions) go through
-``run_open_loop`` instead, which draws each row's whole path at once.
-``reset``, ``commit`` and ``run_open_loop`` set the committed record
-through one function.  A family supplies one hook, its output equation
-``_draw_path(u, t0, rows)``, which reads the rows' committed state and
+per period.  Paths whose actions are fixed before period 1 (no control,
+random or oracle actions) go through ``run_open_loop`` instead, which
+draws each row's whole path at once.  Either way ``paths`` then reads each
+row's path off the record.  A family supplies one hook, its output equation
+``_draw_path(u, t0, rows)``, which reads the rows' state at t0-1 and
 returns its successor, and one constant, one row's state before period 1
 (``initial_state``).  ``step`` is the one-period case of ``_draw_path``, so
 a stepped and an open-loop path give the same bits; every row draws from
@@ -203,8 +203,8 @@ def _stack_columns(columns: list) -> np.ndarray:
 class ProcessModel:
     """Stateful simulator of R rows in lockstep: draw each row's y_t for a trial action, commit once a period.
 
-    Every row is one path with its own seed and stream; the rows share the
-    parameters and the period.  The committed record has a leading row axis.
+    Every row is one path with its own seed, stream and record of periods
+    0..T; the rows share the parameters and the period.
     """
 
     control_dim: int
@@ -222,19 +222,29 @@ class ProcessModel:
         self.seeds = [int(seed)] if np.ndim(seed) == 0 else [int(s) for s in seed]
         self.rows = len(self.seeds)
         self._rng = tuple(make_rng(s, tag=self.family) for s in self.seeds)
-        state = None if self.initial_state is None else np.array([self.initial_state] * self.rows)
-        y0 = np.repeat(self.y0[None], self.rows, axis=0)
-        self._promote(0, np.zeros((self.rows, self.control_dim)), y0, None, state)
+        self._state = None if self.initial_state is None else np.array([self.initial_state] * self.rows)
+        self._next, self._opened = None, False  # the rows' state after their latest draws; whether the period has any
+        self.period = 0
+        # a new record, so the paths ``paths`` handed out before keep their bytes
+        self._u = np.zeros((self.rows, self.T + 1, self.control_dim))
+        self._y = np.zeros((self.rows, self.T + 1, self.output_dim))
+        self._y[:, 0] = self.y0
+        self._d = None if self.initial_state is None else np.zeros((self.rows, self.T + 1))
 
-    def _promote(self, period: int, u: np.ndarray, y: np.ndarray, d, state) -> None:
-        """Commit every row as period ``period``: its action, output, disturbance (None before
-        period 1 or for a family without one) and state."""
-        self.period = period
-        self.u_committed = u.copy()
-        self.y_committed = y.copy()
-        self.d_committed = None if d is None else d.copy()
-        self._state = state
-        self._pending = None
+    @property
+    def u_committed(self) -> np.ndarray:
+        """Every row's action of the last committed period, zero at period 0: a view of the record."""
+        return self._u[:, self.period]
+
+    @property
+    def y_committed(self) -> np.ndarray:
+        """Every row's output of the last committed period, ``y0`` at period 0: a view of the record."""
+        return self._y[:, self.period]
+
+    def paths(self, seeds) -> list[SamplePath]:
+        """Each row's recorded periods 1..T, labelled with its seed from ``seeds``: views of the record."""
+        return [SamplePath(u=self._u[i, 1:], y=self._y[i, 1:], d=None if self._d is None else self._d[i, 1:],
+                           y0=self.y0, seed=s) for i, s in enumerate(seeds)]
 
     def _check_step(self, u, t: int, rows) -> np.ndarray:
         n = self.rows if rows is None else len(rows)
@@ -263,49 +273,44 @@ class ProcessModel:
         return np.array([method(g, *args) for g in streams])
 
     def step(self, u, t: int, rows=None) -> np.ndarray:
-        """Draw y_t of ``rows`` (an index array; all rows by default) from their committed t-1 state.
+        """Draw y_t of ``rows`` (an index array; all rows by default) from their t-1 state; returns the outputs.
 
-        ``u`` holds one action per stepped row; the model keeps it until the
-        commit, so the caller must not change it before then.  A period opens
-        with a step of every row, and a later step of some rows re-draws
-        theirs.  Repeatable, does not advance: ``commit`` promotes each row's
+        ``u`` holds one action per stepped row.  The draw, its action
+        included, goes into period t of the record.  A period opens with a
+        step of every row, and a later step of some rows re-draws theirs.
+        Repeatable, does not advance: ``commit`` advances to each row's
         latest draw.
         """
         u = self._check_step(np.array(u, dtype=float, copy=None), t, rows)
-        if rows is not None and self._pending is None:
+        if rows is not None and not self._opened:
             raise HorizonError(f"period {t} opens with a step of every row, not of some")
         y, d, state = self._draw_path(u[:, None], t, rows)
-        y, d = y[:, 0], None if d is None else d[:, 0]
+        at = slice(None) if rows is None else rows
+        self._u[at, t], self._y[at, t] = u, y[:, 0]
+        if d is not None:
+            self._d[at, t] = d[:, 0]
         if rows is None:
-            self._pending = (u, y, d, state, False)
-            return y
-        held = self._pending
-        if not held[4]:  # every row's draw, whose action and outputs the caller holds: copied, not written over
-            held = tuple(None if a is None else a.copy() for a in held[:4]) + (True,)
-        for slot, value in zip(held, (u, y, d, state)):
-            if slot is not None:
-                slot[rows] = value
-        self._pending = held
-        return y
+            self._next, self._opened = state, True
+        elif state is not None:
+            self._next[rows] = state
+        return y[:, 0]
 
     def commit(self) -> np.ndarray:
-        """Promote every row's latest draw to the committed state, advancing one period; returns the outputs."""
-        if self._pending is None:
+        """Advance every row one period, to its latest draw; returns the outputs."""
+        if not self._opened:
             raise HorizonError("no pending draw to commit")
-        u, y, d, state, _ = self._pending
-        self._promote(self.period + 1, u, y, d, state)
-        return y
+        self.period += 1
+        self._state, self._next, self._opened = self._next, None, False
+        return self.y_committed
 
-    def run_open_loop(self, u) -> tuple[np.ndarray, np.ndarray | None]:
+    def run_open_loop(self, u) -> None:
         """Run periods 1..T of every row under actions fixed in advance, ``u`` of shape (R, T, m_u).
 
         Starts from the state ``reset`` left.  The family's ``_draw_path``
         draws each row's whole path in one call on its stream; ``step`` is its
         one-period case and takes from each stream what one period takes, so
-        the outputs equal a ``step``/``commit`` loop's bit for bit, and the
-        model is left committed at period T as that loop leaves it.  Returns
-        the (R, T, m_y) outputs and the (R, T) disturbances, None for a family
-        without them.
+        the record equals a ``step``/``commit`` loop's bit for bit, and the
+        model is left committed at period T as that loop leaves it.
         """
         u = np.asarray(u, dtype=float)
         expected = (self.rows, self.T, self.control_dim)
@@ -315,18 +320,20 @@ class ProcessModel:
         if not finite.all():
             row, t = np.argwhere(~finite)[0].tolist()  # the first row, then its first period
             raise NonFiniteActionError(f"action at period {t + 1} is not finite: {u[row, t]}")
-        if self.period != 0 or self._pending is not None:
+        if self.period != 0 or self._opened:
             raise HorizonError(f"an open-loop path starts from a reset model, not from period {self.period}")
-        y, d, state = self._draw_path(u, 1, None)
-        self._promote(self.T, u[:, -1], y[:, -1], None if d is None else d[:, -1], state)
-        return y, d
+        y, d, self._state = self._draw_path(u, 1, None)
+        self._u[:, 1:], self._y[:, 1:] = u, y
+        if d is not None:
+            self._d[:, 1:] = d
+        self.period = self.T
 
     # family-specific -------------------------------------------------------
 
     def _draw_path(self, u: np.ndarray, t0: int, rows):
         """Periods t0..t0+n-1 of ``rows`` (None: all) under their (len(rows), n, m_u) actions ``u``.
 
-        Reads each row's committed state and draws from its stream.  Returns
+        Reads each row's state at t0-1 and draws from its stream.  Returns
         the (len(rows), n, m_y) outputs, the (len(rows), n) disturbances or
         None, and the rows' successor of ``self._state``.
         """

@@ -131,8 +131,8 @@ def _project_rows(proj: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``proj @ r`` for each row ``r`` of ``rows``, as a stack of GEMVs.
 
     One product of all the rows with ``proj.T`` would be a GEMM, whose last
-    bits depend on the row count and the BLAS thread count; a row's GEMV
-    depends on neither.
+    bits may depend on the row count; a row's GEMV does not, so a row gets
+    the same bits in any block of rows.
     """
     return np.matmul(proj, rows[:, :, None])[:, :, 0]
 

@@ -670,6 +670,19 @@ def test_arima_path_records_the_committed_disturbance(make_controller):
     np.testing.assert_allclose(path.y[:, 0], p.a + p.b * path.u[:, 0] + path.d, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("make_controller", [
+    lambda: EwmaController(CMP["B"], Y_STAR, lambda_ewma=0.3),
+    NullController,
+], ids=["ewma", "null"])
+def test_a_path_keeps_its_bytes_when_its_model_runs_another(make_controller):
+    model, controller = _cmp_process(noise=2.0), make_controller()
+    first = simulate_path(model, controller, seed=[5, 6])
+    held = [(path.u.tobytes(), path.y.tobytes()) for path in first]
+    second = simulate_path(model, controller, seed=[7, 8])
+    assert [(path.u.tobytes(), path.y.tobytes()) for path in first] == held
+    assert all(a.y.tobytes() != b.y.tobytes() for a, b in zip(first, second))
+
+
 # ---------------------------------------------------------------------------
 # config factory
 # ---------------------------------------------------------------------------

@@ -278,18 +278,18 @@ def test_open_loop_path_equals_step_commit_loop(family):
     stepped, batched = FAMILIES[family](), FAMILIES[family]()
     u = make_rng(5, tag="open-loop").normal(0.0, 2.0, size=(1, stepped.T, stepped.control_dim))
     stepped.reset(31)
-    ys, ds = [], []
+    ys = []
     for t in range(1, stepped.T + 1):
         stepped.step(u[:, t - 1], t)
         ys.append(stepped.commit())
-        ds.append(stepped.d_committed)
     batched.reset(31)
-    y, d = batched.run_open_loop(u)
-    assert y.tobytes() == np.array(ys).tobytes()
+    batched.run_open_loop(u)
+    (path,), (want,) = batched.paths([31]), stepped.paths([31])
+    assert path.y.tobytes() == np.array(ys).tobytes() == want.y.tobytes()
     if family == "arima":
-        assert d.tobytes() == np.array(ds).tobytes()
+        assert path.d.tobytes() == want.d.tobytes()
     else:
-        assert d is None
+        assert path.d is want.d is None
     assert batched.period == stepped.period == stepped.T
     assert batched.y_committed.tobytes() == stepped.y_committed.tobytes()
     assert batched.u_committed.tobytes() == stepped.u_committed.tobytes()
@@ -310,8 +310,8 @@ def test_linear_draws_equal_row_by_row_products(m_y, m_u):
     z = make_rng(41, tag="linear_cmp").standard_normal((params.T, m_y))
     want = np.array([params.A + params.B @ u[i] + params.delta * (1 + i) + L @ z[i] for i in range(params.T)])
     batched.reset(41)
-    y, _ = batched.run_open_loop(u[None])
-    assert y.tobytes() == want.tobytes()
+    batched.run_open_loop(u[None])
+    assert batched.paths([41])[0].y.tobytes() == want.tobytes()
     stepped.reset(41)
     for t in range(1, params.T + 1):  # one-row draws
         assert stepped.step(u[None, t - 1], t).tobytes() == want[t - 1].tobytes()
@@ -376,8 +376,7 @@ def test_row_stack_gives_each_row_the_bytes_of_its_own_model(family):
         y = stack.commit()
         for i, model in enumerate(singles):
             assert model.commit().tobytes() == y[i].tobytes()
-            assert model.d_committed is None if stack.d_committed is None else (
-                model.d_committed.tobytes() == stack.d_committed[i:i + 1].tobytes())
+    _assert_rows_record_their_own_paths(stack, singles, seeds)
     for i, model in enumerate(singles):
         assert model.u_committed.tobytes() == stack.u_committed[i:i + 1].tobytes()
         assert model.y_committed.tobytes() == stack.y_committed[i:i + 1].tobytes()
@@ -387,14 +386,21 @@ def test_row_stack_gives_each_row_the_bytes_of_its_own_model(family):
     seeds = seeds[::-1]
     stack.reset(seeds)
     u = rng.normal(0.0, 2.0, size=(len(seeds), stack.T, m_u))
-    y, d = stack.run_open_loop(u)
-    assert y.shape == (len(seeds), stack.T, stack.output_dim)
+    stack.run_open_loop(u)
+    assert stack.paths(seeds)[0].y.shape == (stack.T, stack.output_dim)
     for i, (model, seed) in enumerate(zip(singles, seeds)):
         model.reset(seed)
-        y_i, d_i = model.run_open_loop(u[i:i + 1])
-        assert y_i.tobytes() == y[i].tobytes()
-        assert d_i is None if d is None else d_i.tobytes() == d[i].tobytes()
+        model.run_open_loop(u[i:i + 1])
         assert model.y_committed.tobytes() == stack.y_committed[i:i + 1].tobytes()
+    _assert_rows_record_their_own_paths(stack, singles, seeds)
+
+
+def _assert_rows_record_their_own_paths(stack, singles, seeds):
+    """Each row's recorded path, disturbances included, has the bytes of its one-row model's."""
+    for path, model, seed in zip(stack.paths(seeds), singles, seeds):
+        (own,) = model.paths([seed])
+        assert path.u.tobytes() == own.u.tobytes() and path.y.tobytes() == own.y.tobytes()
+        assert path.d is own.d is None or path.d.tobytes() == own.d.tobytes()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -419,6 +425,32 @@ def test_period_opens_with_a_step_of_every_row(family):
         assert committed.shape == (3, model.output_dim) and model.period == t
         assert committed[1].tobytes() == held[1].tobytes()
         assert model.u_committed.tolist() == [[1.0] * m_u, [0.0] * m_u, [1.0] * m_u]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_commit_keeps_the_actions_the_outputs_were_drawn_at(family):
+    # the caller overwrites its action arrays after each step, before the commit: the model committed the
+    # stepped actions, as a twin whose caller keeps its arrays does, and the next period draws from them
+    edited, kept = FAMILIES[family](), FAMILIES[family]()
+    m_u = edited.control_dim
+    rows = np.array([0, 2])
+    for model in (edited, kept):
+        model.reset([3, 4, 5])
+    for t in (1, 2, 3):
+        for model in (edited, kept):
+            u, redraw = np.zeros((3, m_u)), np.ones((2, m_u))
+            model.step(u, t)
+            if model is edited:
+                u[:] = 7.0
+            if t > 1:  # from period 2 on, a subset re-draw whose caller overwrites its array as well
+                model.step(redraw, t, rows)
+                if model is edited:
+                    redraw[:] = 7.0
+            model.commit()
+        want = [[0.0] * m_u] * 3 if t == 1 else [[1.0] * m_u, [0.0] * m_u, [1.0] * m_u]
+        assert edited.u_committed.tolist() == want
+    for path, twin in zip(edited.paths([3, 4, 5]), kept.paths([3, 4, 5])):
+        assert path.u.tobytes() == twin.u.tobytes() and path.y.tobytes() == twin.y.tobytes()
 
 
 def test_non_finite_action_names_its_row():
